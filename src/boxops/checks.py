@@ -185,19 +185,19 @@ _SWEEP_STATE: dict = {}
 
 
 def _init_sweep(n, k, sub_tag, direction):
-    sub = [o for o in family_tuple(sub_tag, n, k)]
-    _SWEEP_STATE["sub"] = sub
+    # the cached tuple itself, so that its family index is built once
+    _SWEEP_STATE["sub"] = family_tuple(sub_tag, n, k)
     _SWEEP_STATE["direction"] = direction
 
 
 def _certify_one(omega_key_nk):
     omega_key, n, k = omega_key_nk
     obj = graphs.from_key(n, k, omega_key)
-    sub = _SWEEP_STATE["sub"]
+    index = graphs.family_index(_SWEEP_STATE["sub"])
     if _SWEEP_STATE["direction"] == "over":
-        members = [a for a in sub if is_morphism(a, obj)]
+        members = index.select(index.below(obj))
     else:
-        members = [a for a in sub if is_morphism(obj, a)]
+        members = index.select(index.above(obj))
     verdict = certify_contractible(object_poset(members, is_morphism))
     return omega_key, verdict.status, verdict.method, verdict.detail
 
@@ -514,7 +514,7 @@ def run_cubes(
                     nus = [objs[rng.randrange(len(objs))] for _ in range(nu_samples)]
                 for nu in nus:
                     got = realizes_below_table(table, nu)
-                    want = brute_force_realizes_below(cfg, nu, objs, table=table)
+                    want = brute_force_realizes_below(cfg, nu, objs)
                     if got != want:
                         raise FalsificationError(
                             "closed form disagrees with the union",

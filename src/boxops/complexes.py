@@ -12,16 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .bits import iter_bits
 from .errors import CapExceededError, IntegrityError
 
 DEFAULT_DIM_CAP = 8
-
-
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & (-mask)
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 class SimplicialComplex:
@@ -84,7 +78,7 @@ class SimplicialComplex:
             if mask in masks or mask == 0:
                 continue
             masks.add(mask)
-            for i in _iter_bits(mask):
+            for i in iter_bits(mask):
                 face = mask & ~(1 << i)
                 if face and face not in masks:
                     stack.append(face)
@@ -99,7 +93,7 @@ class SimplicialComplex:
         return mask
 
     def keys_of(self, mask: int) -> tuple:
-        return tuple(self.vertices[i] for i in _iter_bits(mask))
+        return tuple(self.vertices[i] for i in iter_bits(mask))
 
     def materialize(self) -> frozenset[int]:
         """All simplices as masks.  Flag complexes enumerate their cliques;
@@ -113,7 +107,7 @@ class SimplicialComplex:
 
         def grow(mask: int, size: int, cand: int, min_next: int):
             bits = cand & ~((1 << min_next) - 1)
-            for i in _iter_bits(bits):
+            for i in iter_bits(bits):
                 new = mask | (1 << i)
                 if size + 1 > cap_size:
                     raise CapExceededError(
@@ -141,10 +135,7 @@ class SimplicialComplex:
         return sorted(out, key=self._sort_key)
 
     def _sort_key(self, mask: int) -> tuple:
-        return tuple(_iter_bits(mask))
-
-    def euler_characteristic(self) -> int:
-        return sum(-1 if mask.bit_count() % 2 == 0 else 1 for mask in self.materialize())
+        return tuple(iter_bits(mask))
 
     # -- serialization ----------------------------------------------------------
 
@@ -164,7 +155,7 @@ def free_faces(simplices: frozenset[int], nverts: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     cofacet: dict[int, int] = {}
     for mask in simplices:
-        for i in _iter_bits(mask):
+        for i in iter_bits(mask):
             face = mask & ~(1 << i)
             if face:
                 counts[face] = counts.get(face, 0) + 1
@@ -208,13 +199,13 @@ def greedy_collapse(complex_: SimplicialComplex, strategy: str = "lex",
     nverts = len(complex_.vertices)
     counts: dict[int, int] = {}
     for mask in present:
-        for i in _iter_bits(mask):
+        for i in iter_bits(mask):
             face = mask & ~(1 << i)
             if face:
                 counts[face] = counts.get(face, 0) + 1
 
     def face_key(mask: int) -> tuple:
-        return tuple(_iter_bits(mask))
+        return tuple(iter_bits(mask))
 
     rng = random.Random(seed) if strategy == "random" else None
     heap = [(face_key(f), f) for f, c in counts.items() if c == 1 and f in present]
@@ -260,7 +251,7 @@ def greedy_collapse(complex_: SimplicialComplex, strategy: str = "lex",
         present.discard(face)
         present.discard(cof)
         for gone in (face, cof):
-            for i in _iter_bits(gone):
+            for i in iter_bits(gone):
                 sub = gone & ~(1 << i)
                 if sub:
                     counts[sub] -= 1

@@ -20,6 +20,7 @@ from .graphs import (
     find_monochromatic_cycle,
     in_family,
     is_morphism,
+    topological_order,
 )
 from .textform import from_box_expr
 
@@ -145,7 +146,9 @@ def witness(mu: GraphObject) -> CubeConfig:
     k = mu.k
     ranks = []
     for label in range(1, mu.n + 1):
-        order = _topo_min_index(k, mu.arcs(label))
+        order = topological_order(k, mu.arcs(label))
+        if order is None:
+            raise FamilyError("label relation contains a cycle")
         pos = {v: r for r, v in enumerate(order)}
         ranks.append(pos)
     cubes = []
@@ -184,29 +187,6 @@ def verify_cycle_certificate(mu: GraphObject, cycle: Sequence[int]) -> bool:
             return False
         labels.add(mu.label(a, b))
     return len(labels) == 1
-
-
-def _topo_min_index(k: int, arcs) -> list[int]:
-    import heapq
-
-    indeg = [0] * k
-    out = [[] for _ in range(k)]
-    for a, b in arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    ready = [v for v in range(k) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != k:
-        raise FamilyError("label relation contains a cycle")
-    return order
 
 
 def infimum_check(mu1: GraphObject, mu2: GraphObject, config: CubeConfig) -> GraphObject:
@@ -263,17 +243,33 @@ def realizes_below(config: CubeConfig, nu: GraphObject, check_separated: bool = 
     return True
 
 
-def brute_force_realizes_below(config: CubeConfig, nu: GraphObject, family, table=None) -> bool:
-    """Union test: some family member below nu realizes the configuration."""
-    if table is None:
-        for mu in family:
-            if is_morphism(mu, nu) and realizes(config, mu):
-                return True
-        return False
-    for mu in family:
-        if is_morphism(mu, nu) and realizes_table(table, mu):
-            return True
-    return False
+def brute_force_realizes_below(
+    config: CubeConfig, nu: GraphObject, family: Sequence[GraphObject], table=None
+) -> bool:
+    """Union test: some family member below nu realizes the configuration.
+
+    Runs on the family's bitset index (graphs.family_index): the members
+    below nu are one AND per edge.  Edge by edge, that set then keeps only
+    the members whose code on the edge the configuration realizes, each
+    (edge, code) pair decided by one exact less_i comparison.  Nothing is
+    shared with realizes_below or the less_table masks it is checked
+    against; `table` is accepted for callers that pass one and never read.
+    """
+    if config.n != nu.n or config.k != nu.k:
+        raise ValueError("configuration and object shapes differ")
+    index = graphs.family_index(family)
+    found = index.below(nu)
+    cubes = config.cubes
+    for (x, y), by_code in zip(graphs.edge_pairs(nu.k), index.with_code):
+        if not found:
+            break
+        fits = 0
+        for c, members in enumerate(by_code):
+            tail, head = (x, y) if c & 1 else (y, x)
+            if members & found and less_i(cubes[tail], cubes[head], (c >> 1) + 1):
+                fits |= members
+        found &= fits
+    return bool(found)
 
 
 def less_table(config: CubeConfig) -> list[list[int]]:
@@ -294,15 +290,6 @@ def less_table(config: CubeConfig) -> list[list[int]]:
                     bits |= 1 << (i - 1)
             tab[x][y] = bits
     return tab
-
-
-def realizes_table(table, mu: GraphObject) -> bool:
-    for x, y in graphs.edge_pairs(mu.k):
-        i = mu.label(x, y)
-        tail, head = (x, y) if mu.arrow(x, y) else (y, x)
-        if not (table[tail][head] >> (i - 1)) & 1:
-            return False
-    return True
 
 
 def realizes_below_table(table, nu: GraphObject) -> bool:

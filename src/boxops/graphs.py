@@ -9,10 +9,12 @@ restriction along injections, label duality and key-ordered enumeration.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from .bits import iter_bits
 from .errors import (
     BitBudgetError,
     DimensionError,
@@ -321,6 +323,27 @@ def linear_order(mu: GraphObject) -> tuple[int, ...]:
                     "orientation tournament contains a cycle; no linear order"
                 )
     return tuple(order)
+
+
+def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int] | None:
+    """The topological order of arcs on 0..k-1 that always takes the least
+    ready vertex next, or None when the arcs contain a cycle."""
+    indeg = [0] * k
+    out: list[list[int]] = [[] for _ in range(k)]
+    for a, b in arcs:
+        out[a].append(b)
+        indeg[b] += 1
+    ready = [v for v in range(k) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order if len(order) == k else None
 
 
 def _has_directed_3cycle(mu: GraphObject) -> bool:
@@ -684,5 +707,97 @@ def enumerate_family(
     yield from walk(0)
 
 
-def count_family(fam: Family, n: int, k: int, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    return sum(1 for _ in enumerate_family(fam, n, k, max_bits))
+# ---------------------------------------------------------------------------
+# Family index
+
+
+class FamilyIndex:
+    """Big-integer bitsets over the members of one family sequence.
+
+    Member j is bit j, in the sequence's own order.  with_code[e][c] holds
+    the members whose edge e has code c.  below_rows[e][c] holds those whose
+    edge e steps to code c (edge_step_ok(member code, c)), and
+    above_rows[e][c] those whose edge e is reached from code c.  The
+    members below or above an object are then one AND per edge.
+    """
+
+    __slots__ = ("members", "size", "n", "k", "with_code", "below_rows", "above_rows")
+
+    def __init__(self, members: Sequence[GraphObject]):
+        self.members = members
+        self.size = len(members)
+        self.n = members[0].n if members else 0
+        self.k = members[0].k if members else 0
+        codes = range(2 * self.n)
+        # digits[c] translates a byte string of codes into binary digits,
+        # "1" where the code is c
+        digits = [b"0" * c + b"1" + b"0" * (255 - c) for c in codes]
+        self.with_code = []
+        for e in range(self.k * (self.k - 1) // 2):
+            # the last member's code comes first, as the most significant digit
+            column = bytes(m.codes[e] for m in reversed(members))
+            self.with_code.append([int(column.translate(digits[c]), 2) for c in codes])
+        self.below_rows = [
+            [_union(row, (c for c in codes if edge_step_ok(c, want))) for want in codes]
+            for row in self.with_code
+        ]
+        self.above_rows = [
+            [_union(row, (c for c in codes if edge_step_ok(want, c))) for want in codes]
+            for row in self.with_code
+        ]
+
+    def below(self, nu: GraphObject) -> int:
+        """The members mu with a morphism mu -> nu."""
+        return self._meet(self.below_rows, nu)
+
+    def above(self, nu: GraphObject) -> int:
+        """The members mu with a morphism nu -> mu."""
+        return self._meet(self.above_rows, nu)
+
+    def select(self, mask: int) -> list[GraphObject]:
+        """The members in mask, in the sequence's order."""
+        members = self.members
+        return [members[j] for j in iter_bits(mask)]
+
+    def _meet(self, rows, nu: GraphObject) -> int:
+        if not self.size:
+            return 0
+        if nu.n != self.n or nu.k != self.k:
+            raise DimensionError(
+                f"family has shape (n={self.n}, k={self.k}), "
+                f"object has (n={nu.n}, k={nu.k})"
+            )
+        acc = (1 << self.size) - 1
+        for row, c in zip(rows, nu.codes):
+            acc &= row[c]
+        return acc
+
+
+def _union(row: list[int], codes: Iterable[int]) -> int:
+    out = 0
+    for c in codes:
+        out |= row[c]
+    return out
+
+
+_INDEXED: dict[int, FamilyIndex] = {}
+# a process sweeps a handful of families; the bound only stops a caller that
+# indexes fresh sequences from growing the memo without end
+_INDEXED_MAX = 32
+
+
+def family_index(members: Sequence[GraphObject]) -> FamilyIndex:
+    """The FamilyIndex of a member sequence, built once per sequence object.
+
+    The memo is keyed by identity and keeps the sequence alive, so its id
+    cannot be reused while it is memoized; a hit also needs an unchanged
+    length.  A family must not be mutated after it is indexed: a change
+    that keeps its length goes unseen.
+    """
+    index = _INDEXED.get(id(members))
+    if index is not None and index.members is members and index.size == len(members):
+        return index
+    if index is None and len(_INDEXED) >= _INDEXED_MAX:
+        del _INDEXED[next(iter(_INDEXED))]
+    index = _INDEXED[id(members)] = FamilyIndex(members)
+    return index

@@ -28,7 +28,7 @@ from .posets import Poset, poset_isomorphic, poset_product
 
 @lru_cache(maxsize=256)
 def family_tuple(tag: str, n: int, k: int, lo: int = 1) -> tuple[GraphObject, ...]:
-    """Cached family enumeration for the sweep drivers."""
+    """Cached family enumeration for the sweep drivers, key-ascending."""
     return tuple(enumerate_family(Family(tag, lo), n, k))
 
 
@@ -121,13 +121,12 @@ def _block_fiber(n: int, obj: GraphObject, block: tuple[int, ...]):
         raise IntegrityError(
             "a block of an admissible partition contains a 1-labeled edge"
         )
-    members = [
-        shift_labels(o, 1, n) for o in family_tuple("mdown", n - 1, len(block))
-    ]
-    chosen = sorted(
-        (m for m in members if is_morphism(m, obj_b)), key=lambda o: o.key
-    )
-    by_key = {o.key: o for o in chosen}
+    # raising every label by one is an order isomorphism that keeps the key
+    # order, so the raised members below obj_b are the raises of the members
+    # below obj_b lowered
+    index = graphs.family_index(family_tuple("mdown", n - 1, len(block)))
+    below = index.below(shift_labels(obj_b, -1, n - 1))
+    by_key = {o.key: o for o in (shift_labels(m, 1, n) for m in index.select(below))}
     poset = Poset.from_leq(
         tuple(by_key),
         lambda a, b: is_morphism(by_key[a], by_key[b]),
@@ -216,13 +215,10 @@ def assemble(
 
 def over_poset_of_mdown(n: int, obj: GraphObject):
     """Over-poset of the decreasing decomposables at obj, plus objects."""
-    members = [
-        o for o in family_tuple("mdown", n, obj.k) if is_morphism(o, obj)
-    ]
-    members.sort(key=lambda o: o.key)
-    by_key = {o.key: o for o in members}
+    index = graphs.family_index(family_tuple("mdown", n, obj.k))
+    by_key = {o.key: o for o in index.select(index.below(obj))}
     poset = Poset.from_leq(
-        tuple(o.key for o in members),
+        tuple(by_key),
         lambda a, b: is_morphism(by_key[a], by_key[b]),
         validate=False,
     )
@@ -282,25 +278,10 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
 # the two-label reduction
 
 
-def _topo_order(k: int, arcs) -> list[int]:
-    indeg = [0] * k
-    out = [[] for _ in range(k)]
-    for a, b in arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    import heapq
-
-    ready = [v for v in range(k) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != k:
+def _one_arc_order(obj: GraphObject) -> list[int]:
+    """The least-index topological order of obj's 1-labeled arcs."""
+    order = graphs.topological_order(obj.k, obj.arcs(label=1))
+    if order is None:
         raise IntegrityError("constraint arcs contain a cycle")
     return order
 
@@ -314,8 +295,7 @@ def two_label_form(obj: GraphObject) -> GraphObject:
     if not in_family(obj, graphs.KE):
         raise FamilyError("obj must avoid monochromatic oriented cycles")
     k = obj.k
-    arcs = obj.arcs(label=1)
-    order = _topo_order(k, arcs)
+    order = _one_arc_order(obj)
     pos = {v: i for i, v in enumerate(order)}
     codes = []
     for x, y in graphs.edge_pairs(k):
@@ -346,7 +326,7 @@ def verify_two_label_reduction(obj: GraphObject) -> dict:
         )
     base = ctx.poset()
     over, by_key = over_poset_of_mdown(2, prime)
-    order = _topo_order(obj.k, obj.arcs(label=1))
+    order = _one_arc_order(obj)
     pos = {v: i for i, v in enumerate(order)}
 
     candidate = {}

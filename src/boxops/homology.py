@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import SimplicialComplex, _iter_bits
+from .bits import iter_bits
+from .complexes import SimplicialComplex
 from .errors import CapExceededError, IntegrityError
 
 DEFAULT_CELL_CAP = 40000
@@ -162,7 +163,7 @@ def reduced_homology(
     if max_dim is None:
         max_dim = top
     for d in by_dim:
-        by_dim[d].sort(key=lambda m: tuple(_iter_bits(m)))
+        by_dim[d].sort(key=lambda m: tuple(iter_bits(m)))
     position = {
         d: {m: i for i, m in enumerate(by_dim[d])} for d in by_dim
     }
@@ -176,7 +177,7 @@ def reduced_homology(
             ], len(by_dim.get(0, ()))
         rows = [dict() for _ in by_dim.get(d - 1, ())]
         for ci, mask in enumerate(by_dim.get(d, ())):
-            verts = list(_iter_bits(mask))
+            verts = list(iter_bits(mask))
             for pos, v in enumerate(verts):
                 face = mask & ~(1 << v)
                 ri = position[d - 1][face]

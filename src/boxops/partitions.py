@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
+from .bits import iter_bits
 from .complexes import CollapseTrace, SimplicialComplex
 from .errors import FalsificationError, IntegrityError
 from .graphs import GraphObject
@@ -405,13 +406,6 @@ class DriverResult:
     simplex_count: int
 
 
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & (-mask)
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def _maximal_cliques(adj: Sequence[int], n: int):
     """Bron-Kerbosch with pivoting over bitmask adjacency."""
     out = []
@@ -421,8 +415,8 @@ def _maximal_cliques(adj: Sequence[int], n: int):
             out.append(r)
             return
         pux = p | x
-        pivot = max(_iter_bits(pux), key=lambda v: (adj[v] & p).bit_count())
-        for v in list(_iter_bits(p & ~adj[pivot])):
+        pivot = max(iter_bits(pux), key=lambda v: (adj[v] & p).bit_count())
+        for v in list(iter_bits(p & ~adj[pivot])):
             bit = 1 << v
             expand(r | bit, p & adj[v], x & adj[v])
             p &= ~bit
@@ -452,7 +446,7 @@ class _DriverState:
             self._add_maximal(mask)
 
     def _least_vertex(self, mask: int) -> int:
-        verts = list(_iter_bits(mask))
+        verts = list(iter_bits(mask))
         least = self.parts[verts[0]]
         for vi in verts[1:]:
             least = wedge(least, self.parts[vi])
@@ -474,26 +468,26 @@ class _DriverState:
         li = self._least_vertex(mask)
         self.maximal[mask] = li
         alpha = self.parts[li].alpha
-        skey = tuple(_iter_bits(mask))
+        skey = tuple(iter_bits(mask))
         heapq.heappush(self.heap, (-sum(alpha), alpha, skey, mask))
 
     def present_coface_missing(self, mask: int) -> bool:
         """True iff mask has no present coface (so it is maximal)."""
         common = (1 << self.n) - 1
-        for v in _iter_bits(mask):
+        for v in iter_bits(mask):
             common &= self.adj[v]
         common &= ~mask
-        for y in _iter_bits(common):
+        for y in iter_bits(common):
             if (mask | (1 << y)) not in self.removed:
                 return False
         return True
 
     def verify_free(self, face: int, cofacet: int):
         common = (1 << self.n) - 1
-        for v in _iter_bits(face):
+        for v in iter_bits(face):
             common &= self.adj[v]
         common &= ~face
-        for y in _iter_bits(common):
+        for y in iter_bits(common):
             up = face | (1 << y)
             if up == cofacet:
                 continue
@@ -501,9 +495,9 @@ class _DriverState:
                 raise FalsificationError(
                     "selected face is not free",
                     {
-                        "face": [self.parts[v].word() for v in _iter_bits(face)],
+                        "face": [self.parts[v].word() for v in iter_bits(face)],
                         "other_coface": [
-                            self.parts[v].word() for v in _iter_bits(up)
+                            self.parts[v].word() for v in iter_bits(up)
                         ],
                     },
                 )
@@ -558,12 +552,12 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
         del st.maximal[V]
         steps.append(
             (
-                tuple(words[i] for i in _iter_bits(F)),
-                tuple(words[i] for i in _iter_bits(V)),
+                tuple(words[i] for i in iter_bits(F)),
+                tuple(words[i] for i in iter_bits(V)),
             )
         )
         for gone, skip in ((V, v0), (F, None)):
-            for w in _iter_bits(gone):
+            for w in iter_bits(gone):
                 if w == skip:
                     continue
                 W = gone & ~(1 << w)
@@ -595,7 +589,7 @@ def _present_simplices(st: _DriverState) -> list[int]:
 
     def grow(mask: int, cand: int, mn: int):
         bits = cand & ~((1 << mn) - 1)
-        for i in _iter_bits(bits):
+        for i in iter_bits(bits):
             new = mask | (1 << i)
             if new not in st.removed:
                 out.append(new)
@@ -614,12 +608,12 @@ def _validate_good_subcomplex(st: _DriverState):
     """
     present = set(_present_simplices(st))
     for mask in present:
-        for i in _iter_bits(mask):
+        for i in iter_bits(mask):
             sub = mask & ~(1 << i)
             if sub and sub not in present:
                 raise FalsificationError(
                     "present simplex with a removed face",
-                    {"simplex": [st.parts[v].word() for v in _iter_bits(mask)]},
+                    {"simplex": [st.parts[v].word() for v in iter_bits(mask)]},
                 )
     for mask in present:
         has_coface = any(
@@ -630,7 +624,7 @@ def _validate_good_subcomplex(st: _DriverState):
         if not has_coface:
             st._least_vertex(mask)  # raises if absent
         candidates = []
-        verts = [st.parts[i] for i in _iter_bits(mask)]
+        verts = [st.parts[i] for i in iter_bits(mask)]
         for ci in range(st.n):
             c = st.parts[ci]
             if all(
@@ -653,7 +647,7 @@ def _validate_good_subcomplex(st: _DriverState):
                 raise FalsificationError(
                     "good subcomplex is not closed under a minimal extension",
                     {
-                        "simplex": [st.parts[v].word() for v in _iter_bits(mask)],
+                        "simplex": [st.parts[v].word() for v in iter_bits(mask)],
                         "candidate": st.parts[ci].word(),
                     },
                 )

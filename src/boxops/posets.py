@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from .bits import iter_bits
 from .errors import IntegrityError
 
 
@@ -210,7 +211,7 @@ class Poset:
                 witness = None
                 direction = None
                 if strict_up:
-                    for j in _iter_bits(strict_up):
+                    for j in iter_bits(strict_up):
                         if strict_up & ~self.up[j]:
                             continue
                         witness, direction = j, "up"
@@ -218,7 +219,7 @@ class Poset:
                 if witness is None:
                     strict_down = down[i] & alive & ~(1 << i)
                     if strict_down:
-                        for j in _iter_bits(strict_down):
+                        for j in iter_bits(strict_down):
                             if strict_down & ~down[j]:
                                 continue
                             witness, direction = j, "down"
@@ -230,15 +231,8 @@ class Poset:
                     alive &= ~(1 << i)
                     changed = True
                     break
-        core = self.subposet([self.elements[i] for i in _iter_bits(alive)])
+        core = self.subposet([self.elements[i] for i in iter_bits(alive)])
         return core, steps
-
-
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & (-mask)
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:
@@ -329,8 +323,8 @@ def poset_isomorphic(p: Poset, q: Poset, candidate: dict | None = None) -> dict 
         for _ in range(2):
             nxt = []
             for i in range(len(poset)):
-                ups = sorted(sig[j] for j in _iter_bits(poset.up[i]))
-                downs = sorted(sig[j] for j in _iter_bits(down[i]))
+                ups = sorted(sig[j] for j in iter_bits(poset.up[i]))
+                downs = sorted(sig[j] for j in iter_bits(down[i]))
                 nxt.append(hash((sig[i], tuple(ups), tuple(downs))))
             sig = nxt
         return sig

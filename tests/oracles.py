@@ -159,3 +159,11 @@ def brute_force_family(tag, n, k):
         if ORACLES[tag](obj):
             out.append(obj)
     return out
+
+
+def oracle_union_below(config, nu, family):
+    """Union membership by definition: some member below nu realizes config."""
+    from boxops.cubes import realizes
+    from boxops.graphs import is_morphism
+
+    return any(is_morphism(mu, nu) and realizes(config, mu) for mu in family)

@@ -8,7 +8,7 @@ deferred to later calibration.  All comparisons are exact.
 import time
 
 from boxops import checks, graphs
-from boxops.complexes import _iter_bits
+from boxops.bits import iter_bits
 from boxops.graphs import dual, gamma, in_family
 from boxops.grothendieck import (
     family_tuple,
@@ -320,7 +320,7 @@ def test_criterion_9_property_suites():
                     if not (mask >> i) & 1
                 ):
                     continue
-                verts = [parts[i] for i in _iter_bits(mask)]
+                verts = [parts[i] for i in iter_bits(mask)]
                 if not any(all(preceq(v, w) for w in verts) for v in verts):
                     witness = (k, sorted(v.word() for v in verts))
                     break

@@ -29,6 +29,7 @@ from boxops.graphs import from_arcs, is_morphism
 from boxops.textform import from_box_expr
 
 from conftest import family_members
+from oracles import oracle_union_below
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
@@ -274,3 +275,28 @@ def test_down_family_infimum_sampled_property():
         mu0 = infimum_check(mu1, mu2, cfg)
         assert graphs.in_family(mu0, graphs.MDOWN)
         done += 1
+
+
+@pytest.mark.parametrize("n,k,configs,nu_samples", [
+    (2, 3, 12, None), (3, 3, 6, None), (2, 4, 6, 40),
+])
+def test_brute_force_union_matches_definition(n, k, configs, nu_samples):
+    rng = random.Random(1000 * n + k)
+    objs = list(family_members("ke", n, k))
+    for _ in range(configs):
+        cfg = sample_config(rng, n, k)
+        nus = objs if nu_samples is None else rng.sample(objs, nu_samples)
+        for nu in nus:
+            assert brute_force_realizes_below(cfg, nu, objs) == oracle_union_below(
+                cfg, nu, objs
+            )
+
+
+def test_brute_force_union_memo_and_empty_family():
+    rng = random.Random(5)
+    objs = list(family_members("ke", 2, 3))
+    cfg = sample_config(rng, 2, 3)
+    for nu in objs:
+        want = brute_force_realizes_below(cfg, nu, objs)
+        assert brute_force_realizes_below(cfg, nu, list(objs)) == want
+        assert brute_force_realizes_below(cfg, nu, []) is False

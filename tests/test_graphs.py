@@ -478,3 +478,40 @@ def test_dual_commutes_with_restriction():
         for size in (1, 2, 3):
             for subset in combinations(range(3), size):
                 assert dual(restrict(obj, subset)) == restrict(dual(obj), subset)
+
+
+def _bit_string(mask, size):
+    """Character j is bit j of mask."""
+    return format(mask, f"0{size}b")[::-1]
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_family_index_rows_equal_is_morphism(n, k):
+    fam = family_members("ke", n, k)
+    index = graphs.family_index(fam)
+    # ups[i][j] is "1" iff fam[i] -> fam[j]
+    ups = ["".join("1" if is_morphism(b, a) else "0" for a in fam) for b in fam]
+    for b, row in zip(fam, ups):
+        assert _bit_string(index.above(b), len(fam)) == row
+    for nu, column in zip(fam, zip(*ups)):
+        assert _bit_string(index.below(nu), len(fam)) == "".join(column)
+
+
+def test_family_index_memo():
+    fam = list(family_members("mdown", 3, 3))
+    index = graphs.family_index(fam)
+    assert graphs.family_index(fam) is index
+    nu = fam[len(fam) // 2]
+    fresh = graphs.family_index(list(fam))
+    assert fresh is not index
+    assert fresh.select(fresh.below(nu)) == index.select(index.below(nu))
+    assert fresh.select(fresh.above(nu)) == index.select(index.above(nu))
+    # a length change rebuilds the index
+    extra = next(o for o in family_members("ke", 3, 3) if o not in set(fam))
+    fam.append(extra)
+    grown = graphs.family_index(fam)
+    assert grown is not index and grown.size == len(fam)
+    assert grown.select(grown.below(extra))[-1] == extra
+    assert graphs.family_index([]).below(nu) == 0
+    with pytest.raises(DimensionError):
+        index.below(point(3))

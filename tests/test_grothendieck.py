@@ -191,3 +191,26 @@ def test_recursive_pipeline_closes_direct_and_structural():
         assert all(
             status == "CONTRACTIBLE-certified" for _, _, status in pieces["fibers"]
         )
+
+
+@pytest.mark.parametrize("n,k,sample", [(2, 3, None), (3, 3, None), (3, 4, 60)])
+def test_indexed_member_filters_equal_is_morphism_filters(n, k, sample):
+    from boxops.graphs import is_morphism, restrict, shift_labels
+    from boxops.grothendieck import _block_elements, _block_fiber, over_poset_of_mdown
+    from boxops.partitions import ArcContext
+
+    objs = list(family_tuple("ke", n, k))
+    if sample is not None:
+        objs = random.Random(n * 10 + k).sample(objs, sample)
+    for obj in objs:
+        _, by_key = over_poset_of_mdown(n, obj)
+        want = [o.key for o in family_tuple("mdown", n, k) if is_morphism(o, obj)]
+        assert list(by_key) == sorted(want)
+        for partition in ArcContext.from_graph_object(obj).partitions():
+            for block in _block_elements(partition):
+                obj_b = restrict(obj, block)
+                raised = [shift_labels(o, 1, n)
+                          for o in family_tuple("mdown", n - 1, len(block))]
+                want = [o.key for o in raised if is_morphism(o, obj_b)]
+                _, by_key = _block_fiber(n, obj, block)
+                assert list(by_key) == sorted(want)
