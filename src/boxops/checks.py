@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import graphs
 from .complexes import replay_trace
-from .contractibility import certify_contractible, object_poset
+from .contractibility import check_homotopy_final, check_homotopy_initial
 from .cubes import (
     brute_force_realizes_below,
     factorization_checks,
@@ -193,12 +193,11 @@ def _init_sweep(n, k, sub_tag, direction):
 def _certify_one(omega_key_nk):
     omega_key, n, k = omega_key_nk
     obj = graphs.from_key(n, k, omega_key)
-    index = graphs.family_index(_SWEEP_STATE["sub"])
     if _SWEEP_STATE["direction"] == "over":
-        members = index.select(index.below(obj))
+        check = check_homotopy_initial
     else:
-        members = index.select(index.above(obj))
-    verdict = certify_contractible(object_poset(members, is_morphism))
+        check = check_homotopy_final
+    verdict = check([obj], _SWEEP_STATE["sub"])[omega_key]
     return omega_key, verdict.status, verdict.method, verdict.detail
 
 

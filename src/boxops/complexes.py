@@ -8,7 +8,6 @@ Vertices are sorted keys; internally a simplex is a bitmask over them.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -186,14 +185,12 @@ class CollapseTrace:
         return self.terminal_maximal[0][0]
 
 
-def greedy_collapse(complex_: SimplicialComplex, strategy: str = "lex",
-                    seed: int | None = None) -> CollapseTrace:
+def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
     """Collapse until no free face remains.
 
-    The deterministic strategy picks the lexicographically smallest free
-    face (then its unique cofacet); "random" draws from the current free
-    faces with a seeded generator.  A stuck terminal is reported as-is,
-    never as a counterexample.
+    Each step takes the lexicographically smallest free face, then its
+    unique cofacet.  A stuck terminal is reported as-is, never as a
+    counterexample.
     """
     present = set(complex_.materialize())
     nverts = len(complex_.vertices)
@@ -207,7 +204,6 @@ def greedy_collapse(complex_: SimplicialComplex, strategy: str = "lex",
     def face_key(mask: int) -> tuple:
         return tuple(iter_bits(mask))
 
-    rng = random.Random(seed) if strategy == "random" else None
     heap = [(face_key(f), f) for f, c in counts.items() if c == 1 and f in present]
     heapq.heapify(heap)
     candidates = {f for _, f in heap}
@@ -227,22 +223,12 @@ def greedy_collapse(complex_: SimplicialComplex, strategy: str = "lex",
 
     while True:
         face = None
-        if rng is None:
-            while heap:
-                _, f = heapq.heappop(heap)
-                candidates.discard(f)
-                if f in present and counts.get(f) == 1:
-                    face = f
-                    break
-        else:
-            live = sorted(
-                (f for f in candidates if f in present and counts.get(f) == 1),
-                key=face_key,
-            )
-            candidates = set(live)
-            if live:
-                face = rng.choice(live)
-                candidates.discard(face)
+        while heap:
+            _, f = heapq.heappop(heap)
+            candidates.discard(f)
+            if f in present and counts.get(f) == 1:
+                face = f
+                break
         if face is None:
             break
         cof = unique_cofacet(face)
@@ -256,8 +242,7 @@ def greedy_collapse(complex_: SimplicialComplex, strategy: str = "lex",
                 if sub:
                     counts[sub] -= 1
                     if counts[sub] == 1 and sub in present and sub not in candidates:
-                        if rng is None:
-                            heapq.heappush(heap, (face_key(sub), sub))
+                        heapq.heappush(heap, (face_key(sub), sub))
                         candidates.add(sub)
         steps.append((complex_.keys_of(face), complex_.keys_of(cof)))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from . import graphs
 from .complexes import greedy_collapse, replay_trace
 from .errors import CapExceededError
 from .homology import reduced_homology
@@ -31,17 +32,15 @@ class Verdict:
         return self.status == CONTRACTIBLE
 
 
-def certify_contractible(
-    poset: Poset,
-    dim_cap: int = 48,
-    homology_fallback: bool = True,
-    replay: bool = False,
-) -> Verdict:
+def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
     """Certify that a poset's order complex is contractible.
 
     Tries: cone (a minimum or maximum element), dismantling to a point,
     then dismantling to a core whose order complex greedily collapses to a
-    point.  If only homology vanishes the verdict stays inconclusive.
+    point.  Every dismantle and collapse certificate is replayed by its
+    independent checker before the verdict is returned, so a bad step raises
+    IntegrityError.  If only homology vanishes the verdict stays
+    inconclusive.
     """
     m = len(poset)
     if m == 0:
@@ -51,7 +50,7 @@ def certify_contractible(
     if poset.minimum() is not None or poset.maximum() is not None:
         return Verdict(CONTRACTIBLE, "cone", {"size": m})
     core, steps = poset.dismantle()
-    if replay and steps:
+    if steps:
         replay_dismantle(poset, steps)
     if len(core) == 1:
         return Verdict(
@@ -63,8 +62,7 @@ def certify_contractible(
     except CapExceededError as exc:
         return Verdict(FAILED, None, {"size": m, "error": str(exc)})
     if trace.collapsed_to_point:
-        if replay:
-            replay_trace(core.order_complex(dim_cap=dim_cap), trace)
+        replay_trace(complex_, trace)
         method = "dismantle+collapse" if steps else "collapse"
         return Verdict(
             CONTRACTIBLE,
@@ -76,8 +74,6 @@ def certify_contractible(
                 "collapse_steps": len(trace.steps),
             },
         )
-    if not homology_fallback:
-        return Verdict(FAILED, None, {"size": m, "stuck": len(trace.terminal_maximal)})
     report = reduced_homology(core.order_complex(dim_cap=dim_cap))
     if report.trivial():
         return Verdict(
@@ -92,48 +88,49 @@ def certify_contractible(
     )
 
 
-def object_poset(objs: Sequence, leq: Callable) -> Poset:
-    """Poset over canonical keys of objects ordered by leq, key-ascending."""
+def object_poset(objs: Sequence) -> Poset:
+    """Poset over the canonical keys of objects in the morphism order.
+
+    Elements are key-ascending.  Row i is read from a FamilyIndex over the
+    sorted objects as the members objs[i] maps to, so the objects must share
+    one shape (n, k).
+    """
     objs = sorted(objs, key=lambda o: o.key)
-    keys = [o.key for o in objs]
-    rows = []
-    for a in objs:
-        row = 0
-        for j, b in enumerate(objs):
-            if leq(a, b):
-                row |= 1 << j
-        rows.append(row)
-    return Poset(keys, rows, validate=False)
+    index = graphs.FamilyIndex(objs)
+    return Poset([o.key for o in objs], [index.above(o) for o in objs], validate=False)
 
 
 def check_homotopy_initial(
     ambient: Iterable,
     sub: Sequence,
-    leq: Callable,
-    **certify_kwargs,
+    leq: Callable | None = None,
 ) -> dict:
-    """Per-element verdicts for the over-posets {a in sub : a <= b}.
+    """Per-element verdicts for the over-posets {a in sub : a -> b}.
 
     `ambient` iterates objects b; `sub` is the candidate initial family.
     All verdicts CONTRACTIBLE-certified means the inclusion is homotopy
-    initial at this scale.
+    initial at this scale.  The order is the morphism order, read from the
+    family index of `sub`; `leq` is never read and is kept for callers that
+    still pass the morphism test there.
     """
-    out = {}
-    for b in ambient:
-        members = [a for a in sub if leq(a, b)]
-        out[b.key] = certify_contractible(object_poset(members, leq), **certify_kwargs)
-    return out
+    return _member_verdicts(ambient, sub, graphs.FamilyIndex.below)
 
 
 def check_homotopy_final(
     ambient: Iterable,
     sub: Sequence,
-    leq: Callable,
-    **certify_kwargs,
+    leq: Callable | None = None,
 ) -> dict:
-    """Per-element verdicts for the under-posets {a in sub : b <= a}."""
-    out = {}
-    for b in ambient:
-        members = [a for a in sub if leq(b, a)]
-        out[b.key] = certify_contractible(object_poset(members, leq), **certify_kwargs)
-    return out
+    """Per-element verdicts for the under-posets {a in sub : b -> a}.
+
+    As check_homotopy_initial, whose `leq` is likewise never read.
+    """
+    return _member_verdicts(ambient, sub, graphs.FamilyIndex.above)
+
+
+def _member_verdicts(ambient, sub, side) -> dict:
+    index = graphs.family_index(sub)
+    return {
+        b.key: certify_contractible(object_poset(index.select(side(index, b))))
+        for b in ambient
+    }

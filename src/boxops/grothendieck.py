@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import graphs
+from .contractibility import object_poset
 from .errors import FalsificationError, FamilyError, IntegrityError
 from .graphs import (
     Family,
     GraphObject,
     enumerate_family,
     in_family,
-    is_morphism,
     restrict,
     shift_labels,
 )
@@ -126,13 +126,8 @@ def _block_fiber(n: int, obj: GraphObject, block: tuple[int, ...]):
     # below obj_b lowered
     index = graphs.family_index(family_tuple("mdown", n - 1, len(block)))
     below = index.below(shift_labels(obj_b, -1, n - 1))
-    by_key = {o.key: o for o in (shift_labels(m, 1, n) for m in index.select(below))}
-    poset = Poset.from_leq(
-        tuple(by_key),
-        lambda a, b: is_morphism(by_key[a], by_key[b]),
-        validate=False,
-    )
-    return poset, by_key
+    members = [shift_labels(m, 1, n) for m in index.select(below)]
+    return object_poset(members), {o.key: o for o in members}
 
 
 def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
@@ -216,13 +211,8 @@ def assemble(
 def over_poset_of_mdown(n: int, obj: GraphObject):
     """Over-poset of the decreasing decomposables at obj, plus objects."""
     index = graphs.family_index(family_tuple("mdown", n, obj.k))
-    by_key = {o.key: o for o in index.select(index.below(obj))}
-    poset = Poset.from_leq(
-        tuple(by_key),
-        lambda a, b: is_morphism(by_key[a], by_key[b]),
-        validate=False,
-    )
-    return poset, by_key
+    members = index.select(index.below(obj))
+    return object_poset(members), {o.key: o for o in members}
 
 
 def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
@@ -236,19 +226,13 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
     over, by_key = over_poset_of_mdown(n, obj)
     ctx = ArcContext.from_graph_object(obj)
     parts = {v.alpha: v for v in ctx.partitions()}
-    block_objects = {}
-    for alpha, partition in parts.items():
-        blocks = _block_elements(partition)
-        lookup = []
-        for block in blocks:
-            _, objs = _block_fiber(n, obj, block)
-            lookup.append(objs)
-        block_objects[alpha] = lookup
 
     candidate = {}
     for alpha, fiber_elem in total.elements:
+        blocks = _block_elements(parts[alpha])
         objs = [
-            block_objects[alpha][j][key] for j, key in enumerate(fiber_elem)
+            graphs.from_key(n, len(block), key)
+            for block, key in zip(blocks, fiber_elem)
         ]
         glued = assemble(n, parts[alpha], objs)
         if not in_family(glued, graphs.MDOWN):

@@ -167,3 +167,28 @@ def oracle_union_below(config, nu, family):
     from boxops.graphs import is_morphism
 
     return any(is_morphism(mu, nu) and realizes(config, mu) for mu in family)
+
+
+def oracle_object_poset(objs):
+    """The morphism order on objs by is_morphism, over their sorted keys."""
+    from boxops.graphs import is_morphism
+    from boxops.posets import Poset
+
+    by_key = {o.key: o for o in objs}
+    return Poset.from_leq(
+        sorted(by_key), lambda a, b: is_morphism(by_key[a], by_key[b])
+    )
+
+
+def oracle_member_poset(sub, b, side):
+    """The over-poset {a in sub : a -> b} (side "over") or the under-poset
+    {a in sub : b -> a} (side "under") by is_morphism."""
+    from boxops.graphs import is_morphism
+
+    if side == "over":
+        members = [a for a in sub if is_morphism(a, b)]
+    elif side == "under":
+        members = [a for a in sub if is_morphism(b, a)]
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    return oracle_object_poset(members)

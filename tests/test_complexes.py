@@ -11,7 +11,6 @@ from boxops.complexes import (
 )
 from boxops.contractibility import object_poset
 from boxops.errors import CapExceededError, IntegrityError
-from boxops.graphs import is_morphism
 from boxops.homology import reduced_homology, smith_diagonal
 
 from conftest import family_members
@@ -94,14 +93,6 @@ def test_replay_rejects_tampered_trace():
         replay_trace(c, bad)
 
 
-def test_random_strategy_is_seeded_and_legal():
-    c = full_simplex(4)
-    t1 = greedy_collapse(c, strategy="random", seed=7)
-    t2 = greedy_collapse(c, strategy="random", seed=7)
-    assert t1.steps == t2.steps
-    replay_trace(c, t1)
-
-
 # ---------------------------------------------------------------------------
 # homology
 
@@ -150,7 +141,7 @@ def test_smith_diagonal_divisibility():
 
 def test_extended_complete_graph_poset_on_two_elements_is_circle():
     objs = list(family_members("ke", 2, 2))
-    poset = object_poset(objs, is_morphism)
+    poset = object_poset(objs)
     rep = reduced_homology(poset.order_complex())
     assert rep.betti == {0: 0, 1: 1}
 

@@ -185,7 +185,7 @@ def test_recursive_pipeline_closes_direct_and_structural():
         if k not in down3:
             down3[k] = list(family_tuple("mdown", 3, k))
         members = [a for a in down3[k] if is_morphism(a, obj)]
-        direct = certify_contractible(object_poset(members, is_morphism))
+        direct = certify_contractible(object_poset(members))
         assert direct.contractible()
         pieces = structural_certificate(3, obj, certify_contractible)
         assert all(

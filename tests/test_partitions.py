@@ -71,14 +71,13 @@ def test_enumerate_matches_over_poset_identification():
     # the admissible-partition poset is the over-poset of the decreasing
     # decomposables at obj, for every obj at small scale
     from boxops.contractibility import object_poset
-    from boxops.graphs import is_morphism
     from boxops.posets import over_poset, poset_isomorphic
 
     from conftest import family_members
 
     ambient = list(family_members("ke", 2, 3))
     sub = [o.key for o in family_members("mdown", 2, 3)]
-    big = object_poset(ambient, is_morphism)
+    big = object_poset(ambient)
     for obj in ambient:
         ctx = ArcContext.from_graph_object(obj)
         left = ctx.poset()

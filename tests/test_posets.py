@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from boxops import contractibility
 from boxops.contractibility import (
     CONTRACTIBLE,
     FAILED,
@@ -9,7 +12,7 @@ from boxops.contractibility import (
     object_poset,
 )
 from boxops.errors import IntegrityError
-from boxops.graphs import is_morphism
+from boxops.graphs import from_key, is_morphism
 from boxops.posets import (
     Poset,
     over_poset,
@@ -21,6 +24,7 @@ from boxops.posets import (
 from boxops.textform import from_box_expr
 
 from conftest import family_members
+from oracles import oracle_member_poset, oracle_object_poset
 
 
 def chain(m):
@@ -33,7 +37,7 @@ def antichain(m):
 
 def bowtie():
     """Two minimal elements both under two maximal ones; realizes a circle."""
-    return object_poset(list(family_members("ke", 2, 2)), is_morphism)
+    return object_poset(list(family_members("ke", 2, 2)))
 
 
 def test_validation_rejects_non_posets():
@@ -67,7 +71,7 @@ def test_under_over_posets():
 
 def test_under_poset_b_in_sub_is_cone():
     objs = list(family_members("ke", 2, 3))
-    poset = object_poset(objs, is_morphism)
+    poset = object_poset(objs)
     b = objs[7].key
     up = under_poset(poset, poset.elements, b)
     assert up.minimum() == b
@@ -78,7 +82,7 @@ def test_under_poset_all_label_2_triangle():
     # its under-poset there is the single point {b}
     ambient = list(family_members("ke", 2, 3))
     sub = {o.key for o in family_members("mdown", 2, 3)}
-    poset = object_poset(ambient, is_morphism)
+    poset = object_poset(ambient)
     b = from_box_expr("1[]2 2[]2 3", 2)
     assert b.key in sub
     up = under_poset(poset, sub, b.key)
@@ -155,15 +159,39 @@ def test_certify_contractible_verdicts():
     assert v.detail["homology"]
 
 
-def test_certify_zigzag_dismantles():
-    # fence a < b > c < d: no global min/max but beat points exist
+def fence():
+    """a < b > c < d: no global min/max but beat points exist."""
     rel = {("a", "b"), ("c", "b"), ("c", "d")}
-    fence = Poset.from_leq(
+    return Poset.from_leq(
         ("a", "b", "c", "d"), lambda x, y: x == y or (x, y) in rel
     )
-    v = certify_contractible(fence, replay=True)
+
+
+def test_certify_zigzag_dismantles():
+    v = certify_contractible(fence())
     assert v.status == CONTRACTIBLE
     assert v.method == "dismantle"
+
+
+def _reject(*args):
+    raise IntegrityError("replay rejected the certificate")
+
+
+def test_dismantle_verdict_is_replayed(monkeypatch):
+    monkeypatch.setattr(contractibility, "replay_dismantle", _reject)
+    with pytest.raises(IntegrityError):
+        certify_contractible(fence())
+
+
+def test_collapse_verdict_is_replayed(monkeypatch):
+    # the over-poset of m(3,3) at this object has no beat point, and its
+    # order complex collapses
+    obj = from_key(3, 3, 37)
+    sub = family_members("m", 3, 3)
+    assert check_homotopy_initial([obj], sub)[37].method == "collapse"
+    monkeypatch.setattr(contractibility, "replay_trace", _reject)
+    with pytest.raises(IntegrityError):
+        check_homotopy_initial([obj], sub)
 
 
 def test_check_homotopy_initial_small_sweep():
@@ -181,6 +209,40 @@ def test_check_homotopy_final_small_sweep():
     assert all(v.contractible() for v in verdicts.values())
 
 
+SIDES = {"over": check_homotopy_initial, "under": check_homotopy_final}
+
+
+@pytest.mark.parametrize("side,tag", [
+    ("over", "mdown"), ("over", "m"), ("under", "mup"), ("under", "m"),
+])
+@pytest.mark.parametrize("n,k,sample", [(2, 3, None), (3, 3, None), (3, 4, 60)])
+def test_homotopy_member_posets_equal_oracle(monkeypatch, n, k, sample, side, tag):
+    ambient = list(family_members("ke", n, k))
+    if sample is not None:
+        ambient = random.Random(n * 10 + k).sample(ambient, sample)
+    sub = family_members(tag, n, k)
+    verdicts = SIDES[side](ambient, sub)
+    # with the certifier patched out, the checker returns the posets it built
+    monkeypatch.setattr(contractibility, "certify_contractible", lambda p: p)
+    posets = SIDES[side](ambient, sub)
+    for b in ambient:
+        want = oracle_member_poset(sub, b, side)
+        assert posets[b.key].elements == want.elements
+        assert posets[b.key].up == want.up
+        assert verdicts[b.key] == certify_contractible(want)
+
+
+def test_object_poset_equals_oracle_on_random_subsets():
+    rng = random.Random(20261018)
+    for n, k in [(2, 3), (3, 3), (3, 4)]:
+        objs = list(family_members("ke", n, k))
+        for size in (0, 1, 2, 17, 50):
+            subset = rng.sample(objs, size)
+            got, want = object_poset(subset), oracle_object_poset(subset)
+            assert got.elements == want.elements
+            assert got.up == want.up
+
+
 def test_sub_equals_ambient_gives_cones():
     ambient = list(family_members("ke", 2, 2))
     verdicts = check_homotopy_final(ambient, ambient, is_morphism)
@@ -191,7 +253,7 @@ def test_cone_shortcut_agrees_with_collapse():
     from boxops.complexes import greedy_collapse
 
     objs = list(family_members("ke", 2, 3))
-    poset = object_poset(objs, is_morphism)
+    poset = object_poset(objs)
     checked = 0
     for b in objs[:10]:
         cone = under_poset(poset, poset.elements, b.key)  # b is its own minimum
