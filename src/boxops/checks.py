@@ -65,30 +65,56 @@ def _timed(check: str, params: dict, fn) -> ReportRecord:
 
 
 def trace_to_json(ctx: ArcContext, result) -> str:
-    steps = []
-    for i, (face, simplex) in enumerate(result.trace.steps):
-        steps.append(
-            {
-                "step": i,
-                "simplex": sorted("".join(map(str, a)) for a in simplex),
-                "least": "".join(
-                    map(str, next(a for a in simplex if a not in face))
-                )
-                if len(simplex) - len(face) == 1
-                else None,
-                "removed_face": sorted("".join(map(str, a)) for a in face),
-            }
+    """The trace as json.dumps(doc, sort_keys=True) of its dict form.
+
+    Each step is rendered straight to text from its masks, with every
+    vertex name quoted once per trace, so a trace of millions of steps never
+    holds a dict per step.
+    """
+    trace = result.trace
+    quoted = [json.dumps("".join(map(str, a))) for a in trace.vertices]
+
+    def name_list(mask: int) -> str:
+        out = []
+        while mask:
+            b = mask & -mask
+            out.append(quoted[b.bit_length() - 1])
+            mask ^= b
+        # a closing quote sorts below every digit, so quoted words sort as
+        # the words do
+        out.sort()
+        return "[" + ", ".join(out) + "]"
+
+    head = json.dumps(
+        {
+            "format": TRACE_VERSION,
+            "k": ctx.k,
+            "context": sorted(ctx.closure()),
+            "partitions": result.partition_count,
+            "simplex_count": result.simplex_count,
+            "least": result.terminal.word(),
+            "steps": [],
+        },
+        sort_keys=True,
+    )
+    # "steps" is the last key in sorted order: the steps go between its
+    # brackets
+    pieces = [head[: -len("]}")]]
+    sep = ""
+    for i, (face, simplex) in enumerate(trace.steps):
+        extra = simplex & ~face
+        least = (
+            quoted[(extra & -extra).bit_length() - 1]
+            if simplex.bit_count() - face.bit_count() == 1
+            else "null"
         )
-    doc = {
-        "format": TRACE_VERSION,
-        "k": ctx.k,
-        "context": sorted(ctx.closure()),
-        "partitions": result.partition_count,
-        "simplex_count": result.simplex_count,
-        "least": result.terminal.word(),
-        "steps": steps,
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+        pieces.append(
+            f'{sep}{{"least": {least}, "removed_face": {name_list(face)}, '
+            f'"simplex": {name_list(simplex)}, "step": {i}}}'
+        )
+        sep = ", "
+    pieces.append("]}\n")
+    return "".join(pieces)
 
 
 def _drive_context(payload):

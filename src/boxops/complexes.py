@@ -85,12 +85,6 @@ class SimplicialComplex:
 
     # -- access ---------------------------------------------------------------
 
-    def mask_of(self, simplex: Iterable) -> int:
-        mask = 0
-        for v in simplex:
-            mask |= 1 << self.index[v]
-        return mask
-
     def keys_of(self, mask: int) -> tuple:
         return tuple(self.vertices[i] for i in iter_bits(mask))
 
@@ -105,16 +99,19 @@ class SimplicialComplex:
         m = len(self.vertices)
 
         def grow(mask: int, size: int, cand: int, min_next: int):
-            bits = cand & ~((1 << min_next) - 1)
-            for i in iter_bits(bits):
-                new = mask | (1 << i)
-                if size + 1 > cap_size:
-                    raise CapExceededError(
-                        f"clique of size > {cap_size} exceeds dimension cap "
-                        f"{self.dim_cap}; raise the cap to materialize"
-                    )
+            bits = cand >> min_next << min_next
+            if bits and size >= cap_size:
+                raise CapExceededError(
+                    f"clique of size > {cap_size} exceeds dimension cap "
+                    f"{self.dim_cap}; raise the cap to materialize"
+                )
+            while bits:
+                b = bits & -bits
+                i = b.bit_length() - 1
+                new = mask | b
                 out.add(new)
                 grow(new, size + 1, cand & adj[i], i + 1)
+                bits ^= b
 
         grow(0, 0, (1 << m) - 1, 0)
         object.__setattr__(self, "_simplices", frozenset(out))
@@ -166,12 +163,43 @@ def free_faces(simplices: frozenset[int], nverts: int) -> dict[int, int]:
     }
 
 
+def _coface_counts(simplices: frozenset[int]) -> dict[int, int]:
+    """Each simplex mapped to its number of cofacets in the family.
+
+    The keys are the family's own mask objects, so the table adds no
+    integers of its own.
+    """
+    counts = dict.fromkeys(simplices, 0)
+    for mask in simplices:
+        rest = mask
+        while rest:
+            b = rest & -rest
+            face = mask ^ b
+            if face:
+                counts[face] += 1
+            rest ^= b
+    return counts
+
+
+def _remove(counts: dict[int, int], mask: int):
+    """Drop a simplex that has no cofacet left, uncounting it at its facets."""
+    del counts[mask]
+    rest = mask
+    while rest:
+        b = rest & -rest
+        face = mask ^ b
+        if face:
+            counts[face] -= 1
+        rest ^= b
+
+
 @dataclass(frozen=True)
 class CollapseTrace:
     """A replayable sequence of elementary collapses.
 
-    Each step records (free_face, containing_maximal_simplex) as key tuples;
-    the terminal field lists the surviving complex's maximal simplices.
+    Each step is a (free_face, cofacet) pair of masks over `vertices`; the
+    terminal field lists the surviving complex's maximal simplices as masks.
+    `keys` renders a mask as vertex keys.
     """
 
     vertices: tuple
@@ -179,10 +207,13 @@ class CollapseTrace:
     terminal_maximal: tuple
     collapsed_to_point: bool
 
+    def keys(self, mask: int) -> tuple:
+        return tuple(self.vertices[i] for i in iter_bits(mask))
+
     def terminal_vertex(self):
         if not self.collapsed_to_point:
             return None
-        return self.terminal_maximal[0][0]
+        return self.keys(self.terminal_maximal[0])[0]
 
 
 def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
@@ -192,22 +223,16 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
     unique cofacet.  A stuck terminal is reported as-is, never as a
     counterexample.
     """
-    present = set(complex_.materialize())
+    counts = _coface_counts(complex_.materialize())
     nverts = len(complex_.vertices)
-    counts: dict[int, int] = {}
-    for mask in present:
-        for i in iter_bits(mask):
-            face = mask & ~(1 << i)
-            if face:
-                counts[face] = counts.get(face, 0) + 1
 
     def face_key(mask: int) -> tuple:
         return tuple(iter_bits(mask))
 
-    heap = [(face_key(f), f) for f, c in counts.items() if c == 1 and f in present]
+    heap = [(face_key(f), f) for f, c in counts.items() if c == 1]
     heapq.heapify(heap)
     candidates = {f for _, f in heap}
-    steps: list[tuple] = []
+    steps: list[tuple[int, int]] = []
 
     def unique_cofacet(face: int) -> int | None:
         found = None
@@ -215,7 +240,7 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
             if (face >> i) & 1:
                 continue
             up = face | (1 << i)
-            if up in present:
+            if up in counts:
                 if found is not None:
                     return None
                 found = up
@@ -226,7 +251,7 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
         while heap:
             _, f = heapq.heappop(heap)
             candidates.discard(f)
-            if f in present and counts.get(f) == 1:
+            if counts.get(f) == 1:
                 face = f
                 break
         if face is None:
@@ -234,28 +259,21 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
         cof = unique_cofacet(face)
         if cof is None:
             raise IntegrityError("free-face bookkeeping disagrees with the complex")
-        present.discard(face)
-        present.discard(cof)
-        for gone in (face, cof):
+        for gone in (cof, face):
+            _remove(counts, gone)
             for i in iter_bits(gone):
                 sub = gone & ~(1 << i)
-                if sub:
-                    counts[sub] -= 1
-                    if counts[sub] == 1 and sub in present and sub not in candidates:
-                        heapq.heappush(heap, (face_key(sub), sub))
-                        candidates.add(sub)
-        steps.append((complex_.keys_of(face), complex_.keys_of(cof)))
+                if counts.get(sub) == 1 and sub not in candidates:
+                    heapq.heappush(heap, (face_key(sub), sub))
+                    candidates.add(sub)
+        steps.append((face, cof))
 
-    terminal = sorted(present, key=face_key)
-    maximal = [
-        m for m in terminal
-        if not any((m | (1 << i)) in present for i in range(nverts) if not (m >> i) & 1)
-    ]
-    collapsed = len(present) == 1 and next(iter(present)).bit_count() == 1
+    maximal = sorted((m for m, c in counts.items() if c == 0), key=face_key)
+    collapsed = len(counts) == 1 and next(iter(counts)).bit_count() == 1
     return CollapseTrace(
         vertices=complex_.vertices,
         steps=tuple(steps),
-        terminal_maximal=tuple(complex_.keys_of(m) for m in maximal),
+        terminal_maximal=tuple(maximal),
         collapsed_to_point=collapsed,
     )
 
@@ -265,30 +283,23 @@ def replay_trace(complex_: SimplicialComplex, trace: CollapseTrace) -> None:
 
     Raises IntegrityError on the first illegal step or on a terminal
     mismatch.  This checker is independent of whatever engine produced the
-    trace: it works from the materialized complex alone.
+    trace: it decides freeness from coface counts of the materialized
+    complex alone.
     """
-    present = set(complex_.materialize())
-    nverts = len(complex_.vertices)
-    for stepno, (face_keys, cof_keys) in enumerate(trace.steps):
-        face = complex_.mask_of(face_keys)
-        cof = complex_.mask_of(cof_keys)
-        if face not in present or cof not in present:
+    if tuple(trace.vertices) != complex_.vertices:
+        raise IntegrityError("trace vertices differ from the complex's")
+    counts = _coface_counts(complex_.materialize())
+    for stepno, (face, cof) in enumerate(trace.steps):
+        if face not in counts or cof not in counts:
             raise IntegrityError(f"step {stepno}: simplex already removed")
-        if face & ~cof or (cof & ~face).bit_count() != 1:
+        if face & ~cof or (cof ^ face).bit_count() != 1:
             raise IntegrityError(f"step {stepno}: pair is not face/cofacet")
-        for i in range(nverts):
-            if (face >> i) & 1 or not (face | (1 << i)) in present:
-                continue
-            if face | (1 << i) != cof:
-                raise IntegrityError(
-                    f"step {stepno}: face has a second coface; not free"
-                )
-        present.discard(face)
-        present.discard(cof)
-    maximal = {
-        complex_.keys_of(m)
-        for m in present
-        if not any((m | (1 << i)) in present for i in range(nverts) if not (m >> i) & 1)
-    }
+        if counts[face] != 1:
+            raise IntegrityError(
+                f"step {stepno}: face has a second coface; not free"
+            )
+        _remove(counts, cof)
+        _remove(counts, face)
+    maximal = {m for m, c in counts.items() if c == 0}
     if maximal != set(trace.terminal_maximal):
         raise IntegrityError("terminal complex does not match the trace")

@@ -74,7 +74,7 @@ def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
                 "collapse_steps": len(trace.steps),
             },
         )
-    report = reduced_homology(core.order_complex(dim_cap=dim_cap))
+    report = reduced_homology(complex_)
     if report.trivial():
         return Verdict(
             HOMOLOGY_ONLY,

@@ -126,9 +126,6 @@ class ArcContext:
     def partitions(self) -> tuple[OrderedPartition, ...]:
         return _partitions(self.k, self.closure())
 
-    def partition_index(self) -> dict[tuple[int, ...], int]:
-        return {v.alpha: i for i, v in enumerate(self.partitions())}
-
     def poset(self) -> Poset:
         """The admissible partitions under the block-refinement order."""
         parts = self.partitions()
@@ -173,7 +170,8 @@ def _closure(k: int, arcs: frozenset) -> frozenset:
 @lru_cache(maxsize=1024)
 def _partitions(k: int, closed_arcs: frozenset) -> tuple[OrderedPartition, ...]:
     out = []
-    for p in range(1, k + 1):
+    # p = 0 yields only the empty word, the one ordered partition at k = 0
+    for p in range(k + 1):
         for alpha in product(range(1, p + 1), repeat=k):
             if len(set(alpha)) != p:
                 continue
@@ -426,81 +424,112 @@ def _maximal_cliques(adj: Sequence[int], n: int):
     return out
 
 
+def _down_rows(words: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
+    """Row i is the mask of the words v with preceq(v, words[i]).
+
+    at_most[x][j] holds the words whose letter at x is at most j, so each
+    row is one AND per letter.
+    """
+    at_most = [[0] * (k + 1) for _ in range(k)]
+    for i, alpha in enumerate(words):
+        for x, j in enumerate(alpha):
+            at_most[x][j] |= 1 << i
+    for row in at_most:
+        for j in range(1, k + 1):
+            row[j] |= row[j - 1]
+    full = (1 << len(words)) - 1
+    rows = []
+    for alpha in words:
+        row = full
+        for x, j in enumerate(alpha):
+            row &= at_most[x][j]
+        rows.append(row)
+    return tuple(rows)
+
+
 class _DriverState:
-    """Mutable collapse state over a fixed context."""
+    """Mutable collapse state over a fixed context; simplices are masks
+    over the partitions in context order."""
 
     def __init__(self, ctx: ArcContext):
-        self.ctx = ctx
         self.parts = ctx.partitions()
         if not self.parts:
             raise IntegrityError("context admits no partitions")
+        self.words = tuple(v.alpha for v in self.parts)
         self.adj = ctx.compatibility_masks()
         self.n = len(self.parts)
-        self.pindex = ctx.partition_index()
+        self.full = (1 << self.n) - 1
+        self.down = _down_rows(self.words, ctx.k)
         self.removed: set[int] = set()
         self.u0 = ctx.least()
-        self.u0_idx = self.pindex[self.u0.alpha]
+        self.u0_idx = self.words.index(self.u0.alpha)
         self.maximal: dict[int, int] = {}
         self.heap: list = []
         for mask in _maximal_cliques(self.adj, self.n):
             self._add_maximal(mask)
 
-    def _least_vertex(self, mask: int) -> int:
-        verts = list(iter_bits(mask))
-        least = self.parts[verts[0]]
-        for vi in verts[1:]:
-            least = wedge(least, self.parts[vi])
-        idx = self.pindex.get(least.alpha)
-        if idx is None or not (mask >> idx) & 1:
+    def word_list(self, mask: int) -> list[str]:
+        return [self.parts[v].word() for v in iter_bits(mask)]
+
+    def least_vertex(self, mask: int) -> int:
+        """The vertex of mask pointwise below every vertex of mask.
+
+        It is the one bit of mask & AND(down[w] for w in mask); preceq is
+        antisymmetric, so there is at most one.  This equals "the wedge of
+        mask lies in mask".
+        """
+        least = mask
+        rest = mask
+        while rest:
+            b = rest & -rest
+            least &= self.down[b.bit_length() - 1]
+            rest ^= b
+        if not least:
             raise FalsificationError(
                 "maximal simplex has no least vertex inside itself",
-                {"simplex": [self.parts[v].word() for v in verts]},
+                {"simplex": self.word_list(mask)},
             )
-        for vi in verts:
-            if not preceq(least, self.parts[vi]):
-                raise FalsificationError(
-                    "computed least vertex is not below every vertex",
-                    {"simplex": [self.parts[v].word() for v in verts]},
-                )
-        return idx
+        return least.bit_length() - 1
 
     def _add_maximal(self, mask: int):
-        li = self._least_vertex(mask)
+        li = self.least_vertex(mask)
         self.maximal[mask] = li
-        alpha = self.parts[li].alpha
-        skey = tuple(iter_bits(mask))
-        heapq.heappush(self.heap, (-sum(alpha), alpha, skey, mask))
+        alpha = self.words[li]
+        bits = []
+        rest = mask
+        while rest:
+            b = rest & -rest
+            bits.append(b.bit_length() - 1)
+            rest ^= b
+        heapq.heappush(self.heap, (-sum(alpha), alpha, tuple(bits), mask))
 
-    def present_coface_missing(self, mask: int) -> bool:
-        """True iff mask has no present coface (so it is maximal)."""
-        common = (1 << self.n) - 1
-        for v in iter_bits(mask):
-            common &= self.adj[v]
-        common &= ~mask
-        for y in iter_bits(common):
-            if (mask | (1 << y)) not in self.removed:
+    def present_coface_missing(self, mask: int, common: int) -> bool:
+        """True iff mask has no present coface (so it is maximal).
+
+        `common` is the AND of the adjacency rows of mask's vertices: the
+        vertices that extend mask to a coface.
+        """
+        removed = self.removed
+        while common:
+            b = common & -common
+            if (mask | b) not in removed:
                 return False
+            common ^= b
         return True
 
-    def verify_free(self, face: int, cofacet: int):
-        common = (1 << self.n) - 1
-        for v in iter_bits(face):
-            common &= self.adj[v]
-        common &= ~face
-        for y in iter_bits(common):
-            up = face | (1 << y)
-            if up == cofacet:
-                continue
-            if up not in self.removed:
+    def verify_free(self, face: int, cofacet: int, common: int):
+        """Raise unless every coface of face other than cofacet is removed;
+        `common` is as in present_coface_missing."""
+        removed = self.removed
+        while common:
+            b = common & -common
+            up = face | b
+            if up != cofacet and up not in removed:
                 raise FalsificationError(
                     "selected face is not free",
-                    {
-                        "face": [self.parts[v].word() for v in iter_bits(face)],
-                        "other_coface": [
-                            self.parts[v].word() for v in iter_bits(up)
-                        ],
-                    },
+                    {"face": self.word_list(face), "other_coface": self.word_list(up)},
                 )
+            common ^= b
 
 
 def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
@@ -508,18 +537,19 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
 
     Each step removes a preorder-maximal maximal simplex together with its
     least-vertex-deleted free face, verifying freeness on the way; any
-    violation raises FalsificationError with the offending state.
+    violation raises FalsificationError with the offending state.  Trace
+    steps are (face, cofacet) masks over the partitions in context order.
     """
     st = _DriverState(ctx)
-    steps: list[tuple] = []
-    words = [p.alpha for p in st.parts]
+    adj, removed, maximal, heap, full = st.adj, st.removed, st.maximal, st.heap, st.full
+    steps: list[tuple[int, int]] = []
 
     if paranoid:
         _validate_good_subcomplex(st)
 
     while True:
-        if len(st.maximal) == 1:
-            mask = next(iter(st.maximal))
+        if len(maximal) == 1:
+            mask = next(iter(maximal))
             if mask.bit_count() == 1:
                 vi = mask.bit_length() - 1
                 if vi != st.u0_idx:
@@ -529,49 +559,67 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
                     )
                 break
         V = None
-        while st.heap:
-            _, _, _, mask = heapq.heappop(st.heap)
-            if mask in st.maximal:
+        while heap:
+            mask = heapq.heappop(heap)[3]
+            if mask in maximal:
                 V = mask
                 break
         if V is None:
             raise FalsificationError(
                 "no collapsible simplex remains but the complex is not a point",
-                {"maximal": len(st.maximal)},
+                {"maximal": len(maximal)},
             )
-        v0 = st.maximal[V]
+        v0 = maximal[V]
         if V.bit_count() == 1:
             raise FalsificationError(
                 "singleton maximal simplex while other simplices remain",
-                {"vertex": st.parts[v0].word(), "maximal": len(st.maximal)},
+                {"vertex": st.parts[v0].word(), "maximal": len(maximal)},
             )
-        F = V & ~(1 << v0)
-        st.verify_free(F, V)
-        st.removed.add(V)
-        st.removed.add(F)
-        del st.maximal[V]
-        steps.append(
-            (
-                tuple(words[i] for i in iter_bits(F)),
-                tuple(words[i] for i in iter_bits(V)),
-            )
-        )
-        for gone, skip in ((V, v0), (F, None)):
-            for w in iter_bits(gone):
-                if w == skip:
-                    continue
-                W = gone & ~(1 << w)
-                if not W or W in st.removed or W in st.maximal:
-                    continue
-                if st.present_coface_missing(W):
-                    st._add_maximal(W)
+        F = V ^ (1 << v0)
+        # rows of F's vertices; suffix[i] is the AND of rows[i:]
+        rows = []
+        rest = F
+        while rest:
+            b = rest & -rest
+            rows.append((b, adj[b.bit_length() - 1]))
+            rest ^= b
+        suffix = [full] * (len(rows) + 1)
+        for i in range(len(rows) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] & rows[i][1]
+        st.verify_free(F, V, suffix[0])
+        removed.add(V)
+        removed.add(F)
+        del maximal[V]
+        steps.append((F, V))
+        # the facets V - w and F - w for w in F; AND(rows of F - w) is
+        # prefix & suffix[i + 1]
+        row0 = adj[v0]
+        prefix = full
+        for i, (b, row) in enumerate(rows):
+            common = prefix & suffix[i + 1]
+            prefix &= row
+            W = V ^ b
+            if (
+                W not in removed
+                and W not in maximal
+                and st.present_coface_missing(W, common & row0)
+            ):
+                st._add_maximal(W)
+            W = F ^ b
+            if (
+                W
+                and W not in removed
+                and W not in maximal
+                and st.present_coface_missing(W, common)
+            ):
+                st._add_maximal(W)
         if paranoid:
             _validate_good_subcomplex(st)
 
     trace = CollapseTrace(
-        vertices=tuple(words),
+        vertices=st.words,
         steps=tuple(steps),
-        terminal_maximal=((st.u0.alpha,),),
+        terminal_maximal=(1 << st.u0_idx,),
         collapsed_to_point=True,
     )
     return DriverResult(
@@ -613,7 +661,7 @@ def _validate_good_subcomplex(st: _DriverState):
             if sub and sub not in present:
                 raise FalsificationError(
                     "present simplex with a removed face",
-                    {"simplex": [st.parts[v].word() for v in iter_bits(mask)]},
+                    {"simplex": st.word_list(mask)},
                 )
     for mask in present:
         has_coface = any(
@@ -621,10 +669,14 @@ def _validate_good_subcomplex(st: _DriverState):
             for y in range(st.n)
             if not (mask >> y) & 1
         )
-        if not has_coface:
-            st._least_vertex(mask)  # raises if absent
-        candidates = []
         verts = [st.parts[i] for i in iter_bits(mask)]
+        # the definitional route, independent of the driver's order rows
+        if not has_coface and least_element(verts) not in verts:
+            raise FalsificationError(
+                "maximal simplex has no least vertex inside itself",
+                {"simplex": st.word_list(mask)},
+            )
+        candidates = []
         for ci in range(st.n):
             c = st.parts[ci]
             if all(
@@ -647,7 +699,7 @@ def _validate_good_subcomplex(st: _DriverState):
                 raise FalsificationError(
                     "good subcomplex is not closed under a minimal extension",
                     {
-                        "simplex": [st.parts[v].word() for v in iter_bits(mask)],
+                        "simplex": st.word_list(mask),
                         "candidate": st.parts[ci].word(),
                     },
                 )

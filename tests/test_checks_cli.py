@@ -216,6 +216,24 @@ def test_cli_check_collapse(tmp_path):
     assert len(read_records(out)) == 4
 
 
+@pytest.mark.parametrize("k, least", [(0, ""), (1, "1")])
+def test_collapse_at_k0_and_k1(tmp_path, k, least):
+    # the empty word is the one ordered partition of the empty set
+    records = checks.run_collapse(n=2, k=k)
+    assert [r.verdict for r in records] == [PASS]
+    assert records[0].evidence["least"] == least
+    assert records[0].evidence["steps"] == 0
+    out = tmp_path / "collapse.jsonl"
+    code = cli.main(
+        [
+            "check", "collapse", "--n", "2", "--k", str(k),
+            "--out", str(out), "--cache-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert [r.verdict for r in read_records(out)] == [PASS]
+
+
 def test_cli_check_finality_flags(tmp_path):
     out = tmp_path / "fin.jsonl"
     code = cli.main(

@@ -93,6 +93,47 @@ def test_replay_rejects_tampered_trace():
         replay_trace(c, bad)
 
 
+def test_greedy_collapse_steps_are_mask_pairs():
+    trace = greedy_collapse(full_simplex(3))
+    assert trace.steps == ((0b011, 0b111), (0b001, 0b101), (0b010, 0b110))
+    assert trace.terminal_maximal == (0b100,)
+    assert [tuple(map(trace.keys, step)) for step in trace.steps] == [
+        ((0, 1), (0, 1, 2)), ((0,), (0, 2)), ((1,), (1, 2))
+    ]
+    assert trace.terminal_vertex() == 2
+
+
+def _tampered(good, **fields):
+    return CollapseTrace(**{
+        "vertices": good.vertices,
+        "steps": good.steps,
+        "terminal_maximal": good.terminal_maximal,
+        "collapsed_to_point": good.collapsed_to_point,
+        **fields,
+    })
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"steps": ((0b011, 0b111), (0b011, 0b111))}, "already removed"),
+        ({"steps": ((0b001, 0b111),)}, "not face/cofacet"),
+        ({"steps": ((0b001, 0b110),)}, "not face/cofacet"),
+        ({"steps": ((0b001, 0b011),)}, "second coface"),
+        ({"vertices": (0, 1, 3)}, "vertices differ"),
+        ({"vertices": (0, 1)}, "vertices differ"),
+        ({"terminal_maximal": (0b001,)}, "terminal complex"),
+        ({"steps": ((0b011, 0b111),)}, "terminal complex"),
+    ],
+)
+def test_replay_rejects_each_illegal_trace(fields, message):
+    c = full_simplex(3)
+    good = greedy_collapse(c)
+    replay_trace(c, good)
+    with pytest.raises(IntegrityError, match=message):
+        replay_trace(c, _tampered(good, **fields))
+
+
 # ---------------------------------------------------------------------------
 # homology
 

@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
 
+from boxops import partitions
+from boxops.bits import iter_bits
 from boxops.complexes import greedy_collapse, replay_trace
-from boxops.errors import IntegrityError
+from boxops.errors import FalsificationError, IntegrityError
 from boxops.homology import reduced_homology
 from boxops.partitions import (
     ArcContext,
@@ -310,7 +314,7 @@ def test_driver_path_two_steps():
     assert res.steps == 2
     assert res.terminal == part({0, 1})
     # first step removes a maximal edge together with its non-least endpoint
-    face0, simplex0 = res.trace.steps[0]
+    face0, simplex0 = map(res.trace.keys, res.trace.steps[0])
     assert len(simplex0) == 2 and len(face0) == 1
     assert face0[0] != (1, 1)
     replay_trace(ctx.flag_complex(), res.trace)
@@ -328,6 +332,61 @@ def test_driver_paranoid_mode_k3():
     for ctx in all_contexts(3)[:8]:
         res = collapse_driver(ctx, paranoid=True)
         assert res.terminal == ctx.least()
+
+
+def test_paranoid_mode_keeps_the_definitional_least_vertex(monkeypatch):
+    # paranoid validation reads least_element, never the driver's order rows
+    calls = []
+    real = partitions._DriverState.least_vertex
+
+    def counted(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(partitions._DriverState, "least_vertex", counted)
+    ctx = all_contexts(3)[0]
+    collapse_driver(ctx)
+    plain = len(calls)
+    calls.clear()
+    collapse_driver(ctx, paranoid=True)
+    assert len(calls) == plain > 0
+
+
+def test_least_vertex_equals_least_element_on_maximal_cliques():
+    checked = 0
+    for k in range(5):
+        for ctx in all_contexts(k):
+            st = partitions._DriverState(ctx)
+            for mask in partitions._maximal_cliques(st.adj, st.n):
+                members = [st.parts[i] for i in iter_bits(mask)]
+                least = least_element(members)
+                assert least in members
+                assert st.parts[st.least_vertex(mask)] == least
+                checked += 1
+    assert checked > 1000
+
+
+def test_least_vertex_raises_exactly_without_a_least_member():
+    st = partitions._DriverState(ctx_free(2))
+    incomparable = sum(
+        1 << i for i, v in enumerate(st.parts) if v in (part({0}, {1}), part({1}, {0}))
+    )
+    with pytest.raises(FalsificationError, match="no least vertex"):
+        st.least_vertex(incomparable)
+    for ctx in all_contexts(3):
+        st = partitions._DriverState(ctx)
+        for size in (1, 2, 3):
+            for verts in combinations(range(st.n), size):
+                mask = sum(1 << i for i in verts)
+                members = [st.parts[i] for i in verts]
+                has_least = any(all(preceq(v, w) for w in members) for v in members)
+                if has_least:
+                    li = st.least_vertex(mask)
+                    assert li in verts
+                    assert all(preceq(st.parts[li], w) for w in members)
+                else:
+                    with pytest.raises(FalsificationError):
+                        st.least_vertex(mask)
 
 
 def test_driver_agrees_with_generic_collapse_and_homology_k3():

@@ -13,6 +13,7 @@ from boxops.contractibility import (
 )
 from boxops.errors import IntegrityError
 from boxops.graphs import from_key, is_morphism
+from boxops.homology import reduced_homology
 from boxops.posets import (
     Poset,
     over_poset,
@@ -157,6 +158,30 @@ def test_certify_contractible_verdicts():
     v = certify_contractible(bowtie())
     assert v.status == FAILED
     assert v.detail["homology"]
+
+
+def crown():
+    """a1, a2 < b1, b2: no beat point, and the order complex is a circle."""
+    return Poset.from_leq(
+        ("a1", "a2", "b1", "b2"), lambda x, y: x == y or (x[0], y[0]) == ("a", "b")
+    )
+
+
+def test_homology_fallback_builds_the_order_complex_once(monkeypatch):
+    expected = reduced_homology(crown().order_complex(dim_cap=48)).rows()
+    assert expected == [(0, 0, ()), (1, 1, ())]
+    calls = []
+    real = Poset.order_complex
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "order_complex", counted)
+    v = certify_contractible(crown())
+    assert v.status == FAILED
+    assert v.detail["homology"] == expected
+    assert len(calls) == 1
 
 
 def fence():
