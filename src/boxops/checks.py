@@ -118,25 +118,33 @@ def trace_to_json(ctx: ArcContext, result) -> str:
 
 
 def _drive_context(payload):
-    k, arcs, paranoid = payload
+    """Drive and replay one context; with a trace directory, write its trace
+    there at once and return only the path, so no trace text outlives its
+    context."""
+    k, arcs, paranoid, trace_dir = payload
     ctx = ArcContext.from_arcs(k, arcs)
     try:
         result = collapse_driver(ctx, paranoid=paranoid)
         replay_trace(ctx.flag_complex(), result.trace)
-        return (tuple(sorted(arcs)), {
-            "ok": True,
-            "steps": result.steps,
-            "partitions": result.partition_count,
-            "simplex_count": result.simplex_count,
-            "least": result.terminal.word(),
-            "trace": trace_to_json(ctx, result),
-        })
     except FalsificationError as exc:
-        return (tuple(sorted(arcs)), {
+        return (arcs, {
             "ok": False,
             "error": str(exc),
             "state": exc.state,
         })
+    res = {
+        "ok": True,
+        "steps": result.steps,
+        "partitions": result.partition_count,
+        "simplex_count": result.simplex_count,
+        "least": result.terminal.word(),
+    }
+    if trace_dir is not None:
+        name = "-".join(f"{a}{b}" for a, b in arcs) or "free"
+        path = trace_dir / f"collapse-k{k}-{name}.json"
+        path.write_text(trace_to_json(ctx, result))
+        res["trace_path"] = str(path)
+    return (arcs, res)
 
 
 def run_collapse(
@@ -150,7 +158,8 @@ def run_collapse(
     """Drive the partition-complex collapse for every object at (n, k).
 
     Objects sharing a constraint closure share one drive; each object still
-    gets its own record pointing at the shared trace.
+    gets its own record pointing at the shared trace.  Each trace is written
+    to trace_dir as soon as its context is driven.
     """
     try:
         objs = family_tuple("ke", n, k)
@@ -162,26 +171,18 @@ def run_collapse(
         ctx = ArcContext.from_graph_object(obj)
         by_context.setdefault(tuple(sorted(ctx.closure())), []).append(obj)
 
-    payloads = [(k, arcs, paranoid) for arcs in sorted(by_context)]
-    results = dict(_pmap(_drive_context, payloads, jobs))
-
-    trace_paths = {}
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        for arcs, res in sorted(results.items()):
-            if res.get("ok"):
-                name = "-".join(f"{a}{b}" for a, b in arcs) or "free"
-                path = trace_dir / f"collapse-k{k}-{name}.json"
-                path.write_text(res["trace"])
-                trace_paths[arcs] = str(path)
+    payloads = [(k, arcs, paranoid, trace_dir) for arcs in sorted(by_context)]
+    results = dict(_pmap(_drive_context, payloads, jobs))
 
     records = []
     for arcs in sorted(by_context):
         res = results[arcs]
         for obj in by_context[arcs]:
             params = {"n": n, "k": k, "object": to_raw(obj)}
-            if res.get("ok"):
+            if res["ok"]:
                 evidence = {
                     "context": [list(p) for p in arcs],
                     "steps": res["steps"],
@@ -189,8 +190,8 @@ def run_collapse(
                     "simplex_count": res["simplex_count"],
                     "least": res["least"],
                 }
-                if arcs in trace_paths:
-                    evidence["trace_path"] = trace_paths[arcs]
+                if "trace_path" in res:
+                    evidence["trace_path"] = res["trace_path"]
                 records.append(ReportRecord("collapse", params, PASS, evidence))
             else:
                 records.append(
@@ -274,7 +275,13 @@ def run_finality(n, k, sub="mup", sample=None, seed=None, jobs=1, ambient="ke"):
 
 
 def run_grothendieck(n, k, sample=None, seed=None) -> list[ReportRecord]:
-    """The assembly isomorphism plus the two-label reduction."""
+    """The assembly isomorphism plus the two-label reduction.
+
+    Refused below two labels, where the block fibers do not exist.
+    """
+    if n < 2:
+        return [ReportRecord("grothendieck", {"n": n, "k": k}, REFUSED,
+                             {"reason": "the reduction needs at least two labels"})]
     records = []
     objs = list(family_tuple("ke", n, k))
     chosen = objs

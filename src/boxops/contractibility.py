@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import graphs
 from .complexes import greedy_collapse, replay_trace
-from .errors import CapExceededError
+from .errors import CapExceededError, IntegrityError
 from .homology import reduced_homology
 from .posets import Poset, replay_dismantle
 
@@ -37,9 +37,10 @@ def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
 
     Tries: cone (a minimum or maximum element), dismantling to a point,
     then dismantling to a core whose order complex greedily collapses to a
-    point.  Every dismantle and collapse certificate is replayed by its
-    independent checker before the verdict is returned, so a bad step raises
-    IntegrityError.  If only homology vanishes the verdict stays
+    point.  A cone apex found in one family of rows is rechecked in the
+    other, and every dismantle and collapse certificate is replayed by its
+    independent checker before the verdict is returned, so a bad apex or
+    step raises IntegrityError.  If only homology vanishes the verdict stays
     inconclusive.
     """
     m = len(poset)
@@ -47,7 +48,7 @@ def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
         return Verdict(EMPTY)
     if m == 1:
         return Verdict(CONTRACTIBLE, "cone", {"size": 1})
-    if poset.minimum() is not None or poset.maximum() is not None:
+    if _cone(poset):
         return Verdict(CONTRACTIBLE, "cone", {"size": m})
     core, steps = poset.dismantle()
     if steps:
@@ -86,6 +87,26 @@ def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
         None,
         {"size": m, "homology": report.rows()},
     )
+
+
+def _cone(poset: Poset) -> bool:
+    """Whether the poset has a minimum or a maximum.
+
+    minimum() reads the up rows and maximum() the down rows; the apex either
+    one claims is checked through the other family of rows, so a wrong apex
+    raises IntegrityError instead of certifying a cone.
+    """
+    apex, rows = poset.minimum(), poset.down_rows()
+    if apex is None:
+        apex, rows = poset.maximum(), poset.up
+        if apex is None:
+            return False
+    bit = 1 << poset.index[apex]
+    if any(not row & bit for row in rows):
+        raise IntegrityError(
+            f"claimed cone apex {apex!r} is not comparable to every element"
+        )
+    return True
 
 
 def object_poset(objs: Sequence) -> Poset:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import graphs
+from .bits import iter_bits
 from .contractibility import object_poset
 from .errors import FalsificationError, FamilyError, IntegrityError
 from .graphs import (
@@ -86,23 +87,36 @@ class PosetFunctor:
 def grothendieck(functor: PosetFunctor) -> Poset:
     """Total poset: (a, x) <= (b, y) iff a <= b and x <= transport(y).
 
+    Elements run through the fibers in base order.  For each a <= b, pre[t]
+    is the mask of the y in fiber(b) transported to t in fiber(a), so row
+    (a, x) gains the OR of pre[t] over t >= x, shifted to b's offset.
     Raises if the relation is only a preorder; for the block-fiber functors
     used here antisymmetry always holds.
     """
+    base = functor.base
     elements = []
-    for a in functor.base.elements:
-        for x in functor.fibers[a].elements:
-            elements.append((a, x))
-
-    def leq(px, py):
-        (a, x), (b, y) = px, py
-        if not functor.base.le(a, b):
-            return False
+    offset = []
+    for a in base.elements:
+        offset.append(len(elements))
+        elements.extend((a, x) for x in functor.fibers[a].elements)
+    rows = []
+    for ia, a in enumerate(base.elements):
         fa = functor.fibers[a]
-        return fa.le(x, functor.transports[(a, b)][y])
-
+        fa_rows = [0] * len(fa)
+        for ib in iter_bits(base.up[ia]):
+            b = base.elements[ib]
+            pre = [0] * len(fa)
+            transport = functor.transports[(a, b)]
+            for j, y in enumerate(functor.fibers[b].elements):
+                pre[fa.index[transport[y]]] |= 1 << j
+            for x, up_x in enumerate(fa.up):
+                above = 0
+                for t in iter_bits(up_x):
+                    above |= pre[t]
+                fa_rows[x] |= above << offset[ib]
+        rows.extend(fa_rows)
     try:
-        return Poset.from_leq(tuple(elements), leq, validate=True)
+        return Poset(elements, rows, validate=True)
     except ValueError as exc:
         raise IntegrityError(f"total relation is a preorder, not a poset: {exc}")
 

@@ -127,13 +127,28 @@ class ArcContext:
         return _partitions(self.k, self.closure())
 
     def poset(self) -> Poset:
-        """The admissible partitions under the block-refinement order."""
-        parts = self.partitions()
-        return Poset.from_leq(
-            tuple(v.alpha for v in parts),
-            lambda a, b: le_partition(OrderedPartition(a), OrderedPartition(b)),
-            validate=True,
-        )
+        """The admissible partitions under the block-refinement order.
+
+        le_partition(v, w) holds iff every pair (x, y) that v orders weakly,
+        alpha_v[x] <= alpha_v[y], w orders weakly too.  So row v is the AND,
+        over the pairs v orders weakly, of the mask of partitions ordering
+        that pair weakly.
+        """
+        alphas = tuple(v.alpha for v in self.partitions())
+        pairs = [(x, y) for x in range(self.k) for y in range(self.k) if x != y]
+        weakly = [0] * len(pairs)
+        for j, a in enumerate(alphas):
+            for p, (x, y) in enumerate(pairs):
+                if a[x] <= a[y]:
+                    weakly[p] |= 1 << j
+        rows = []
+        for a in alphas:
+            row = (1 << len(alphas)) - 1
+            for p, (x, y) in enumerate(pairs):
+                if a[x] <= a[y]:
+                    row &= weakly[p]
+            rows.append(row)
+        return Poset(alphas, rows, validate=True)
 
     def compatibility_masks(self) -> tuple[int, ...]:
         return _compatibility_masks(self.k, self.closure())

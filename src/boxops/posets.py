@@ -61,6 +61,12 @@ class Poset:
 
     @classmethod
     def from_leq(cls, elements: Sequence, leq: Callable, validate: bool = True) -> "Poset":
+        """The poset of a relation given pair by pair, leq(a, b) for a <= b.
+
+        The definitional constructor: the library builds its rows from
+        bitsets, and the test oracles build the same posets through this to
+        hold those rows to the definitions.
+        """
         elements = tuple(elements)
         rows = []
         for a in elements:
@@ -188,51 +194,69 @@ class Poset:
     # -- dismantling --------------------------------------------------------
 
     def dismantle(self) -> tuple["Poset", list[tuple]]:
-        """Iteratively remove beat points, scanning elements in key order.
+        """Iteratively remove beat points, the first in element order first.
+
+        The order contract: each step removes the lowest-index (for member
+        posets, lowest-key) beat point of the current poset, as a scan
+        restarted from the first alive element after every removal would.
+        The steps, the core and every verdict built on them depend on it.
 
         A beat point is dominated in the comparability graph by the witness
         recorded with it, so each removal collapses the order complex onto
-        the smaller poset's.  Returns the core and the removal steps
-        (key, witness_key, "up"|"down").
+        the smaller poset's.  Beat status depends only on the alive elements
+        comparable to an element, so removing i unsettles only
+        up[i] | down[i]; the other elements found not to be beat points stay
+        settled, and the lowest unsettled beat point is the lowest one.  The
+        up-witness is the least element of the strict up-set S, the one bit
+        of S & AND(down[j] for j in S), and the down-witness the greatest
+        element of the strict down-set.  Returns the core and the removal
+        steps (key, witness_key, "up"|"down").
         """
-        m = len(self.elements)
-        alive = (1 << m) - 1
+        up = self.up
         down = self.down_rows()
+        alive = (1 << len(self.elements)) - 1
+        settled = 0
         steps: list[tuple] = []
-        changed = True
-        while changed and alive.bit_count() > 1:
-            changed = False
-            bits = alive
-            while bits:
-                b = bits & (-bits)
+        while alive.bit_count() > 1:
+            unsettled = alive & ~settled
+            while unsettled:
+                b = unsettled & -unsettled
+                unsettled ^= b
                 i = b.bit_length() - 1
-                bits ^= b
-                strict_up = self.up[i] & alive & ~(1 << i)
-                witness = None
-                direction = None
-                if strict_up:
-                    for j in iter_bits(strict_up):
-                        if strict_up & ~self.up[j]:
-                            continue
-                        witness, direction = j, "up"
-                        break
-                if witness is None:
-                    strict_down = down[i] & alive & ~(1 << i)
-                    if strict_down:
-                        for j in iter_bits(strict_down):
-                            if strict_down & ~down[j]:
-                                continue
-                            witness, direction = j, "down"
-                            break
-                if witness is not None:
+                direction = "up"
+                strict = up[i] & alive & ~b
+                witness = _extreme(strict, down)
+                if not witness:
+                    direction = "down"
+                    strict = down[i] & alive & ~b
+                    witness = _extreme(strict, up)
+                if witness:
                     steps.append(
-                        (self.elements[i], self.elements[witness], direction)
+                        (self.elements[i], self.elements[witness.bit_length() - 1],
+                         direction)
                     )
-                    alive &= ~(1 << i)
-                    changed = True
+                    alive ^= b
+                    settled &= ~(up[i] | down[i])
                     break
+                settled |= b
+            else:
+                # every alive element is settled: the core is reached
+                break
         core = self.subposet([self.elements[i] for i in iter_bits(alive)])
         return core, steps
+
+
+def _extreme(strict: int, rows: Sequence[int]) -> int:
+    """The bit of the element of `strict` lying in every row of `strict`'s
+    elements, or 0: with down rows the least element, with up rows the
+    greatest."""
+    common = strict
+    bits = strict
+    while bits and common:
+        b = bits & -bits
+        bits ^= b
+        common &= rows[b.bit_length() - 1]
+    return common
 
 
 def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:
@@ -303,15 +327,22 @@ def poset_isomorphic(p: Poset, q: Poset, candidate: dict | None = None) -> dict 
     if mp != mq:
         return None
     if candidate is not None:
-        if sorted(candidate.keys(), key=_sort_key) != sorted(p.elements, key=_sort_key):
+        if set(candidate) != set(p.elements):
             return None
-        image = list(candidate.values())
-        if sorted(image, key=_sort_key) != sorted(q.elements, key=_sort_key):
+        image = [candidate[a] for a in p.elements]
+        if set(image) != set(q.elements):
             return None
-        for a in p.elements:
-            for b in p.elements:
-                if p.le(a, b) != q.le(candidate[a], candidate[b]):
-                    return None
+        # image is a bijection onto q; the map is an order isomorphism iff
+        # each up row of p, carried through it, is the up row of its image
+        perm = [q.index[b] for b in image]
+        for i, row in enumerate(p.up):
+            carried = 0
+            while row:
+                b = row & -row
+                row ^= b
+                carried |= 1 << perm[b.bit_length() - 1]
+            if carried != q.up[perm[i]]:
+                return None
         return dict(candidate)
 
     def signatures(poset: Poset):
@@ -370,6 +401,3 @@ def poset_isomorphic(p: Poset, q: Poset, candidate: dict | None = None) -> dict 
         return None
     return {p.elements[i]: q.elements[j] for i, j in assignment.items()}
 
-
-def _sort_key(x):
-    return (str(type(x)), repr(x))

@@ -192,3 +192,97 @@ def oracle_member_poset(sub, b, side):
     else:
         raise ValueError(f"unknown side {side!r}")
     return oracle_object_poset(members)
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        b = mask & (-mask)
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def oracle_dismantle(poset):
+    """Beat-point removal by a scan restarted from the lowest alive element
+    after every removal, witnesses found by testing each comparable element.
+
+    Returns the core's keys and the steps (key, witness_key, "up"|"down").
+    """
+    m = len(poset.elements)
+    up = poset.up
+    down = [sum(1 << j for j in range(m) if (up[j] >> i) & 1) for i in range(m)]
+    alive = (1 << m) - 1
+    steps = []
+    changed = True
+    while changed and alive.bit_count() > 1:
+        changed = False
+        for i in _bits(alive):
+            strict_up = up[i] & alive & ~(1 << i)
+            witness = None
+            direction = None
+            if strict_up:
+                for j in _bits(strict_up):
+                    if strict_up & ~up[j]:
+                        continue
+                    witness, direction = j, "up"
+                    break
+            if witness is None:
+                strict_down = down[i] & alive & ~(1 << i)
+                if strict_down:
+                    for j in _bits(strict_down):
+                        if strict_down & ~down[j]:
+                            continue
+                        witness, direction = j, "down"
+                        break
+            if witness is not None:
+                steps.append((poset.elements[i], poset.elements[witness], direction))
+                alive &= ~(1 << i)
+                changed = True
+                break
+    return [poset.elements[i] for i in _bits(alive)], steps
+
+
+def oracle_refinement_poset(ctx):
+    """The admissible partitions of a context ordered by le_partition."""
+    from boxops.partitions import OrderedPartition, le_partition
+    from boxops.posets import Poset
+
+    return Poset.from_leq(
+        tuple(v.alpha for v in ctx.partitions()),
+        lambda a, b: le_partition(OrderedPartition(a), OrderedPartition(b)),
+    )
+
+
+def oracle_candidate_isomorphism(p, q, candidate):
+    """Whether the key map is an order isomorphism p -> q, pair by pair."""
+    if len(p) != len(q) or len(candidate) != len(p):
+        return False
+    if any(a not in candidate for a in p.elements):
+        return False
+    image = [candidate[a] for a in p.elements]
+    if len(set(image)) != len(image) or any(b not in q.index for b in image):
+        return False
+    return all(
+        p.le(a, b) == q.le(candidate[a], candidate[b])
+        for a in p.elements
+        for b in p.elements
+    )
+
+
+def oracle_total_poset(functor):
+    """The total poset of a poset functor by its defining relation."""
+    from boxops.posets import Poset
+
+    elements = [
+        (a, x) for a in functor.base.elements for x in functor.fibers[a].elements
+    ]
+
+    def leq(px, py):
+        (a, x), (b, y) = px, py
+        return functor.base.le(a, b) and functor.fibers[a].le(
+            x, functor.transports[(a, b)][y]
+        )
+
+    return Poset.from_leq(elements, leq)

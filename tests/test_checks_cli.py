@@ -5,10 +5,12 @@ import pytest
 from boxops import checks, cli
 from boxops.cache import CacheVersionError, read_cache, write_cache
 from boxops.graphs import KE
+from boxops.partitions import ArcContext, collapse_driver
 from boxops.reports import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    REFUSED,
     ReportRecord,
     exit_code,
     read_records,
@@ -95,6 +97,22 @@ def test_run_collapse_jobs_do_not_change_output(tmp_path):
     assert strip_wall(serial) == strip_wall(parallel)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_collapse_traces_are_streamed(tmp_path, jobs):
+    records = checks.run_collapse(n=2, k=3, jobs=jobs, trace_dir=tmp_path)
+    paths = {r.evidence["trace_path"]: r.evidence["context"] for r in records}
+    assert len(paths) == len(list(tmp_path.iterdir())) == 19
+    for path, context in paths.items():
+        ctx = ArcContext.from_arcs(3, map(tuple, context))
+        want = checks.trace_to_json(ctx, collapse_driver(ctx))
+        assert open(path).read() == want
+    # a driven context hands back the path of its trace, not the text
+    _, res = checks._drive_context((3, (), False, tmp_path))
+    assert res["trace_path"] == str(tmp_path / "collapse-k3-free.json")
+    assert set(res) == {"ok", "steps", "partitions", "simplex_count", "least",
+                        "trace_path"}
+
+
 def test_run_initiality_small():
     records = checks.run_initiality(2, 3)
     assert len(records) == 60
@@ -132,6 +150,54 @@ def test_run_grothendieck_k2():
     assert all(r.verdict == PASS for r in records)
     variants = {r.params["variant"] for r in records}
     assert variants == {"iso", "reduction"}
+
+
+def test_run_grothendieck_refuses_one_label(tmp_path):
+    reason = "the reduction needs at least two labels"
+    assert [(r.verdict, r.evidence) for r in checks.run_grothendieck(1, 2)] == [
+        (REFUSED, {"reason": reason})
+    ]
+    out = tmp_path / "groth.jsonl"
+    code = cli.main(["check", "grothendieck", "--n", "1", "--k", "2",
+                     "--out", str(out)])
+    assert code == 2
+    assert [r.evidence["reason"] for r in read_records(out)] == [reason]
+
+
+@pytest.mark.parametrize("n, k, count", [(1, 2, 2), (1, 3, 6), (2, 0, 1),
+                                          (2, 1, 1), (3, 0, 1), (3, 1, 1)])
+def test_degenerate_shapes_through_each_sweep(n, k, count):
+    # one label or at most one element: every member poset is one point
+    for run in (checks.run_initiality, checks.run_finality):
+        records = run(n, k)
+        assert [(r.verdict, r.evidence) for r in records] == [
+            (PASS, {"method": "cone", "size": 1})
+        ] * count
+    records = checks.run_grothendieck(n, k)
+    if n == 1:
+        assert [r.verdict for r in records] == [REFUSED]
+        return
+    assert [(r.params["variant"], r.verdict) for r in records] == [
+        ("iso", PASS), ("reduction", PASS)
+    ]
+    assert records[0].evidence == {"object_key": 0, "partitions": 1, "total": 1,
+                                   "over": 1, "fiber_sizes": [1],
+                                   "isomorphic": True}
+    assert records[1].evidence == {"object_key": 0, "partitions": 1, "over": 1,
+                                   "isomorphic": True}
+
+
+def test_empty_member_poset_is_a_fail_record():
+    # keys 4 and 17 at (2, 3) are oriented 3-cycles of label 1: nothing
+    # decomposable maps to them; the label-2 cycles 46 and 59 get a circle
+    records = checks.run_initiality(2, 3, sub="mdown", ambient="g")
+    failed = [r for r in records if r.verdict != PASS]
+    circle = {"status": "FAILED", "size": 12,
+              "homology": [(0, 0, ()), (1, 1, ())]}
+    assert [(r.params["object_key"], r.verdict, r.evidence) for r in failed] == [
+        (4, FAIL, {"status": "EMPTY"}), (17, FAIL, {"status": "EMPTY"}),
+        (46, FAIL, circle), (59, FAIL, circle),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from boxops.grothendieck import (
 from boxops.posets import Poset, poset_isomorphic, poset_product
 from boxops.textform import from_box_expr
 
+from oracles import oracle_total_poset
+
 
 def chain(m):
     return Poset.from_leq(tuple(range(m)), lambda a, b: a <= b)
@@ -214,3 +216,23 @@ def test_indexed_member_filters_equal_is_morphism_filters(n, k, sample):
                 want = [o.key for o in raised if is_morphism(o, obj_b)]
                 _, by_key = _block_fiber(n, obj, block)
                 assert list(by_key) == sorted(want)
+
+
+def test_total_poset_equals_defining_relation():
+    objs = list(family_tuple("ke", 3, 3))
+    objs += random.Random(34).sample(list(family_tuple("ke", 3, 4)), 20)
+    for obj in objs:
+        functor = block_fiber_functor(3, obj)
+        got, want = grothendieck(functor), oracle_total_poset(functor)
+        assert got.elements == want.elements
+        assert got.up == want.up
+
+
+def test_total_preorder_is_refused():
+    # over poset fibers the total relation is antisymmetric; a fiber that
+    # is only a preorder (x <= y <= x) makes the total relation one too
+    fiber = Poset(("x", "y"), (0b11, 0b11), validate=False)
+    functor = PosetFunctor(base=point_poset(), fibers={"*": fiber},
+                           transports={("*", "*"): {"x": "x", "y": "y"}})
+    with pytest.raises(IntegrityError, match="preorder"):
+        grothendieck(functor)

@@ -24,6 +24,8 @@ from boxops.partitions import (
 )
 from boxops.textform import from_box_expr
 
+from oracles import oracle_refinement_poset
+
 
 def part(*blocks):
     return OrderedPartition.from_blocks(blocks)
@@ -31,6 +33,14 @@ def part(*blocks):
 
 def ctx_free(k):
     return ArcContext.from_arcs(k, ())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_refinement_poset_equals_le_partition_oracle(k):
+    for ctx in all_contexts(k):
+        got, want = ctx.poset(), oracle_refinement_poset(ctx)
+        assert got.elements == want.elements
+        assert got.up == want.up
 
 
 # ---------------------------------------------------------------------------

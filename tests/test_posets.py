@@ -25,7 +25,12 @@ from boxops.posets import (
 from boxops.textform import from_box_expr
 
 from conftest import family_members
-from oracles import oracle_member_poset, oracle_object_poset
+from oracles import (
+    oracle_candidate_isomorphism,
+    oracle_dismantle,
+    oracle_member_poset,
+    oracle_object_poset,
+)
 
 
 def chain(m):
@@ -287,3 +292,120 @@ def test_cone_shortcut_agrees_with_collapse():
         assert trace.collapsed_to_point
         checked += 1
     assert checked == 10
+
+
+def assert_dismantle_equals_oracle(poset):
+    core, steps = poset.dismantle()
+    want_core, want_steps = oracle_dismantle(poset)
+    assert steps == want_steps
+    assert list(core.elements) == want_core
+    assert all(
+        core.le(a, b) == poset.le(a, b) for a in want_core for b in want_core
+    )
+
+
+@pytest.mark.parametrize("side,tag", [
+    ("over", "mdown"), ("over", "m"), ("under", "mup"), ("under", "m"),
+])
+def test_dismantle_equals_oracle_on_sweep_member_posets(monkeypatch, side, tag):
+    ambient = family_members("ke", 3, 3)
+    monkeypatch.setattr(contractibility, "certify_contractible", lambda p: p)
+    posets = SIDES[side](ambient, family_members(tag, 3, 3))
+    assert len(posets) == len(ambient)
+    for poset in posets.values():
+        assert_dismantle_equals_oracle(poset)
+
+
+def random_poset(rng, m):
+    """A random order on range(m) whose linear extension is shuffled, so
+    that key order and order relation are unrelated."""
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    rank = list(range(m))
+    rng.shuffle(rank)
+    up = [1 << i for i in range(m)]
+    # close under transitivity from the highest rank down
+    for i in sorted(range(m), key=lambda i: -rank[i]):
+        for j in range(m):
+            if rank[i] < rank[j] and rng.random() < density:
+                up[i] |= up[j]
+    return Poset(range(m), up)
+
+
+def test_dismantle_equals_oracle_on_random_posets():
+    rng = random.Random(5)
+    removed = stuck = 0
+    for _ in range(2000):
+        poset = random_poset(rng, rng.randint(1, 40))
+        assert_dismantle_equals_oracle(poset)
+        core, steps = poset.dismantle()
+        removed += bool(steps)
+        stuck += len(core) > 1
+    # both outcomes occur often
+    assert removed > 500 and stuck > 200
+
+
+def test_candidate_isomorphism_cases():
+    grid = poset_product([chain(2), chain(2)])
+    m = {(0, 0): "a", (0, 1): "b", (1, 0): "c", (1, 1): "d"}
+    inv = {v: k for k, v in m.items()}
+    copy = Poset.from_leq(
+        tuple("abcd"),
+        lambda x, y: inv[x][0] <= inv[y][0] and inv[x][1] <= inv[y][1],
+    )
+    right = dict(m)
+    swapped = {**m, (0, 0): "d", (1, 1): "a"}
+    not_injective = {**m, (1, 1): "a"}
+    missing = {k: v for k, v in m.items() if k != (1, 1)}
+    # swapping the two incomparable middle elements is an automorphism
+    twisted = {**m, (0, 1): "c", (1, 0): "b"}
+    cases = [(right, True), (twisted, True), (swapped, False),
+             (not_injective, False), (missing, False)]
+    for candidate, accepted in cases:
+        assert oracle_candidate_isomorphism(grid, copy, candidate) is accepted
+        got = poset_isomorphic(grid, copy, candidate=candidate)
+        assert got == (candidate if accepted else None)
+    # on an antichain every row carries over even through a non-injective map
+    points = antichain(2)
+    assert poset_isomorphic(points, points, candidate={0: 1, 1: 0}) == {0: 1, 1: 0}
+    assert poset_isomorphic(points, points, candidate={0: 0, 1: 0}) is None
+
+
+def test_candidate_isomorphism_equals_pairwise_check():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        p = random_poset(rng, m)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        # q is p carried through perm, keyed by strings
+        q = Poset(
+            [f"q{i}" for i in range(m)],
+            [sum(1 << perm[j] for j in range(m) if p.le_idx(i, j))
+             for i in sorted(range(m), key=perm.__getitem__)],
+        )
+        right = {i: f"q{perm[i]}" for i in range(m)}
+        a, b = rng.randrange(m), rng.randrange(m)
+        swapped = {**right, a: right[b], b: right[a]}
+        collided = {**right, a: right[b]}
+        candidates = [right, swapped, collided, dict(list(right.items())[1:])]
+        for candidate in candidates:
+            want = oracle_candidate_isomorphism(p, q, candidate)
+            got = poset_isomorphic(p, q, candidate=candidate)
+            assert got == (candidate if want else None)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_cone_apex_is_rechecked(monkeypatch):
+    c = chain(4)
+    assert certify_contractible(c).detail == {"size": 4}
+    # a claimed minimum that is not below every element
+    monkeypatch.setattr(Poset, "minimum", lambda self: 2)
+    with pytest.raises(IntegrityError):
+        certify_contractible(c)
+    # with no minimum, a claimed maximum that is not above every element
+    monkeypatch.setattr(Poset, "minimum", lambda self: None)
+    monkeypatch.setattr(Poset, "maximum", lambda self: 1)
+    with pytest.raises(IntegrityError):
+        certify_contractible(c)
