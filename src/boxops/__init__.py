@@ -1,56 +1,4 @@
 """Combinatorial certificates for labeled-graph operads, ordered-partition
 collapse sequences, and exact-rational cube configurations."""
 
-from .graphs import (
-    G,
-    K,
-    KE,
-    M,
-    MDOWN,
-    MUP,
-    Family,
-    GraphObject,
-    box,
-    dual,
-    enumerate_family,
-    gamma,
-    in_family,
-    is_morphism,
-    linear_order,
-    restrict,
-    sigma_action,
-    top_decomposition,
-)
-from .partitions import ArcContext, OrderedPartition, collapse_driver
-from .posets import Poset, over_poset, poset_isomorphic, under_poset
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Family",
-    "G",
-    "GraphObject",
-    "K",
-    "KE",
-    "M",
-    "MDOWN",
-    "MUP",
-    "ArcContext",
-    "OrderedPartition",
-    "Poset",
-    "box",
-    "collapse_driver",
-    "dual",
-    "enumerate_family",
-    "gamma",
-    "in_family",
-    "is_morphism",
-    "linear_order",
-    "over_poset",
-    "poset_isomorphic",
-    "restrict",
-    "sigma_action",
-    "top_decomposition",
-    "under_poset",
-    "__version__",
-]

@@ -228,14 +228,18 @@ def _certify_one(omega_key_nk):
     return omega_key, verdict.status, verdict.method, verdict.detail
 
 
+def _sample(objs, sample, seed):
+    """`sample` of objs drawn with `seed`, in key order; all of objs when
+    sample is None or not below their number."""
+    if sample is None or sample >= len(objs):
+        return objs
+    if seed is None:
+        raise ValueError("sampled sweeps require a seed")
+    return sorted(random.Random(seed).sample(objs, sample), key=lambda o: o.key)
+
+
 def _poset_sweep(check, direction, n, k, sub_tag, sample, seed, jobs, ambient="ke"):
-    objs = list(family_tuple(ambient, n, k))
-    if sample is not None and sample < len(objs):
-        if seed is None:
-            raise ValueError("sampled sweeps require a seed")
-        rng = random.Random(seed)
-        objs = rng.sample(objs, sample)
-        objs.sort(key=lambda o: o.key)
+    objs = _sample(family_tuple(ambient, n, k), sample, seed)
     payloads = [(o.key, n, k) for o in objs]
     _init_sweep(n, k, sub_tag, direction)
     if jobs > 1:
@@ -283,14 +287,8 @@ def run_grothendieck(n, k, sample=None, seed=None) -> list[ReportRecord]:
         return [ReportRecord("grothendieck", {"n": n, "k": k}, REFUSED,
                              {"reason": "the reduction needs at least two labels"})]
     records = []
-    objs = list(family_tuple("ke", n, k))
-    chosen = objs
-    if sample is not None and sample < len(objs):
-        if seed is None:
-            raise ValueError("sampled sweeps require a seed")
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(objs, sample), key=lambda o: o.key)
-    for obj in chosen:
+    objs = family_tuple("ke", n, k)
+    for obj in _sample(objs, sample, seed):
         params = {"n": n, "k": k, "variant": "iso", "object_key": obj.key}
         records.append(
             _timed("grothendieck", params,
@@ -491,13 +489,8 @@ def run_cubes(
 
     def nonempty(n, k, sample=None):
         def body():
-            objs = family_tuple("g", n, k)
-            chosen = objs
-            if sample is not None and sample < len(objs):
-                rng = random.Random(seed + 1)
-                chosen = sorted(rng.sample(list(objs), sample), key=lambda o: o.key)
             wit = cyc = 0
-            for mu in chosen:
+            for mu in _sample(family_tuple("g", n, k), sample, seed + 1):
                 kind, payload = realization_certificate(mu)
                 if kind == "witness":
                     if not in_family(mu, Family("ke")):

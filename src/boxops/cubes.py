@@ -138,19 +138,14 @@ def witness(mu: GraphObject) -> CubeConfig:
     the rank-r subinterval [(r-1)/k, r/k] in that coordinate.  Membership
     and separation are re-verified before returning.
     """
-    if not in_family(mu, graphs.KE):
+    k = mu.k
+    orders = [topological_order(k, mu.arcs(label)) for label in range(1, mu.n + 1)]
+    if None in orders:
         cycle = find_monochromatic_cycle(mu)
         raise FamilyError(
             f"no realization exists: monochromatic oriented cycle {cycle}"
         )
-    k = mu.k
-    ranks = []
-    for label in range(1, mu.n + 1):
-        order = topological_order(k, mu.arcs(label))
-        if order is None:
-            raise FamilyError("label relation contains a cycle")
-        pos = {v: r for r, v in enumerate(order)}
-        ranks.append(pos)
+    ranks = [{v: r for r, v in enumerate(order)} for order in orders]
     cubes = []
     for x in range(k):
         coords = []
@@ -228,19 +223,7 @@ def realizes_below(config: CubeConfig, nu: GraphObject, check_separated: bool = 
         raise ValueError("configuration and object shapes differ")
     if check_separated and not config.separated():
         raise ValueError("configuration must have separated interiors")
-    for x, y in graphs.edge_pairs(nu.k):
-        if nu.arrow(x, y):
-            tail, head = x, y
-        else:
-            tail, head = y, x
-        bound = nu.label(x, y)
-        ct, ch = config.cubes[tail], config.cubes[head]
-        ok = any(less_i(ct, ch, i) for i in range(1, bound + 1)) or any(
-            less_i(ch, ct, i) for i in range(1, bound)
-        )
-        if not ok:
-            return False
-    return True
+    return realizes_below_table(less_table(config), nu)
 
 
 def brute_force_realizes_below(
@@ -275,8 +258,8 @@ def brute_force_realizes_below(
 def less_table(config: CubeConfig) -> list[list[int]]:
     """tab[x][y]: bitmask of coordinates i (bit i-1) with cube x below cube y.
 
-    Memoizes the exact comparisons so sweeps can reuse them; the membership
-    formulas themselves stay unchanged.
+    Holds every exact comparison of the configuration once, so a sweep can
+    test many objects against it through realizes_below_table.
     """
     k, n = config.k, config.n
     tab = [[0] * k for _ in range(k)]
@@ -293,6 +276,12 @@ def less_table(config: CubeConfig) -> list[list[int]]:
 
 
 def realizes_below_table(table, nu: GraphObject) -> bool:
+    """Closed-form membership in the union of realizations below nu.
+
+    Every edge of nu, from tail to head with label l, needs the tail's cube
+    below the head's in some coordinate i <= l, or the head's below the
+    tail's in some coordinate i < l.
+    """
     for x, y in graphs.edge_pairs(nu.k):
         tail, head = (x, y) if nu.arrow(x, y) else (y, x)
         bound = nu.label(x, y)

@@ -227,36 +227,6 @@ MUP = Family("mup")
 MDOWN = Family("mdown")
 
 
-def m_interval(lo: int) -> Family:
-    return Family("m", lo)
-
-
-def _digraph_has_cycle(arcs: Sequence[tuple[int, int]], k: int) -> bool:
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for a, b in arcs:
-        adj[a].append(b)
-    state = [0] * k  # 0 unvisited, 1 on stack, 2 done
-    for root in range(k):
-        if state[root]:
-            continue
-        stack = [(root, 0)]
-        state[root] = 1
-        while stack:
-            u, i = stack[-1]
-            if i < len(adj[u]):
-                stack[-1] = (u, i + 1)
-                v = adj[u][i]
-                if state[v] == 1:
-                    return True
-                if state[v] == 0:
-                    state[v] = 1
-                    stack.append((v, 0))
-            else:
-                state[u] = 2
-                stack.pop()
-    return False
-
-
 def find_monochromatic_cycle(mu: GraphObject) -> list[int] | None:
     """A directed cycle using arcs of one label, as a vertex list, or None."""
     for label in range(1, mu.n + 1):
@@ -306,22 +276,11 @@ def linear_order(mu: GraphObject) -> tuple[int, ...]:
 
     x comes before y exactly when the edge {x, y} points from x to y.
     """
-    k = mu.k
-    if k <= 1:
-        return tuple(range(k))
-    wins = [0] * k
-    for (x, y), c in zip(edge_pairs(k), mu.codes):
-        if c & 1:
-            wins[x] += 1
-        else:
-            wins[y] += 1
-    order = sorted(range(k), key=lambda v: (-wins[v], v))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not mu.arrow(order[i], order[j]):
-                raise OrientedCycleError(
-                    "orientation tournament contains a cycle; no linear order"
-                )
+    order = topological_order(mu.k, mu.arcs())
+    if order is None:
+        raise OrientedCycleError(
+            "orientation tournament contains a cycle; no linear order"
+        )
     return tuple(order)
 
 
@@ -346,28 +305,16 @@ def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int] | No
     return order if len(order) == k else None
 
 
-def _has_directed_3cycle(mu: GraphObject) -> bool:
-    k = mu.k
-    for x in range(k):
-        for y in range(x + 1, k):
-            for z in range(y + 1, k):
-                # cyclic iff the three arrows run consistently around x,y,z
-                if mu.arrow(x, y) == mu.arrow(y, z) == mu.arrow(z, x):
-                    return True
-    return False
-
-
 class _IntervalChecker:
     """Decomposability predicates over the linear order of a K-family object."""
 
-    def __init__(self, mu: GraphObject):
-        self.order = linear_order(mu)
+    def __init__(self, mu: GraphObject, order: Sequence[int]):
         k = mu.k
         self.k = k
         lab = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
-                lab[i][j] = mu.label(self.order[i], self.order[j])
+                lab[i][j] = mu.label(order[i], order[j])
         self.lab = lab
         self._memo: dict[tuple, bool] = {}
 
@@ -453,16 +400,17 @@ def in_family(mu: GraphObject, fam: Family) -> bool:
     if tag == "g":
         return True
     if tag == "ke":
-        for label in range(1, mu.n + 1):
-            if _digraph_has_cycle(mu.arcs(label), mu.k):
-                return False
-        return True
-    if tag == "k":
-        return not _has_directed_3cycle(mu)
-    # decomposable families live inside the acyclic one
-    if _has_directed_3cycle(mu):
+        return all(
+            topological_order(mu.k, mu.arcs(label)) is not None
+            for label in range(1, mu.n + 1)
+        )
+    # the other families live inside the acyclic one
+    order = topological_order(mu.k, mu.arcs())
+    if order is None:
         return False
-    chk = _IntervalChecker(mu)
+    if tag == "k":
+        return True
+    chk = _IntervalChecker(mu, order)
     if tag == "m":
         return chk.decomposable(0, mu.k)
     if tag == "mup":

@@ -198,11 +198,16 @@ def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
 
 
 def assemble(
-    n: int, partition: OrderedPartition, block_objs: list[GraphObject]
+    n: int,
+    partition: OrderedPartition,
+    blocks: list[tuple[int, ...]],
+    block_objs: list[GraphObject],
 ) -> GraphObject:
-    """Glue block objects along the partition with 1-labeled cross edges."""
+    """Glue block objects along the partition with 1-labeled cross edges.
+
+    blocks are the partition's blocks as _block_elements gives them.
+    """
     k = partition.k
-    blocks = _block_elements(partition)
     local = {}
     for bi, block in enumerate(blocks):
         for pos, e in enumerate(block):
@@ -239,16 +244,16 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
     total = grothendieck(functor)
     over, by_key = over_poset_of_mdown(n, obj)
     ctx = ArcContext.from_graph_object(obj)
-    parts = {v.alpha: v for v in ctx.partitions()}
+    parts = {v.alpha: (v, _block_elements(v)) for v in ctx.partitions()}
 
     candidate = {}
     for alpha, fiber_elem in total.elements:
-        blocks = _block_elements(parts[alpha])
+        partition, blocks = parts[alpha]
         objs = [
             graphs.from_key(n, len(block), key)
             for block, key in zip(blocks, fiber_elem)
         ]
-        glued = assemble(n, parts[alpha], objs)
+        glued = assemble(n, partition, blocks, objs)
         if not in_family(glued, graphs.MDOWN):
             raise FalsificationError(
                 "assembled object is not in the decreasing family",

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .bits import iter_bits
 from .complexes import CollapseTrace, SimplicialComplex
 from .errors import FalsificationError, IntegrityError
-from .graphs import GraphObject
+from .graphs import GraphObject, topological_order
 from .posets import Poset
 
 
@@ -71,30 +71,12 @@ class OrderedPartition:
             return "".join(str(d) for d in self.alpha)
         return "-".join(str(d) for d in self.alpha)
 
-    @classmethod
-    def from_word(cls, text: str) -> "OrderedPartition":
-        if "-" in text:
-            return cls(tuple(int(d) for d in text.split("-")))
-        return cls(tuple(int(d) for d in text))
-
 
 def _check_acyclic(k: int, arcs: frozenset[tuple[int, int]]):
-    adj: dict[int, list[int]] = {v: [] for v in range(k)}
     for a, b in arcs:
         if not (0 <= a < k and 0 <= b < k) or a == b:
             raise ValueError(f"bad arc {(a, b)} for k={k}")
-        adj[a].append(b)
-    color = {v: 0 for v in range(k)}
-
-    def visit(u):
-        color[u] = 1
-        for v in adj[u]:
-            if color[v] == 1 or (color[v] == 0 and visit(v)):
-                return True
-        color[u] = 2
-        return False
-
-    if any(color[v] == 0 and visit(v) for v in range(k)):
+    if topological_order(k, arcs) is None:
         raise IntegrityError("constraint arcs contain a cycle")
 
 
@@ -225,12 +207,9 @@ def all_contexts(k: int) -> tuple[ArcContext, ...]:
             elif s == 2:
                 arcs.add((y, x))
         fr = frozenset(arcs)
-        if _closure(k, fr) != fr:
-            continue
-        try:
+        # closing a cycle would add (a, a), so every closed set is acyclic
+        if _closure(k, fr) == fr:
             out.append(ArcContext(k, fr))
-        except IntegrityError:
-            continue
     out.sort(key=lambda c: tuple(sorted(c.one_arcs)))
     return tuple(out)
 

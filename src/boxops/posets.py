@@ -119,19 +119,6 @@ class Poset:
                 return self.elements[i]
         return None
 
-    def maximal_elements(self) -> list:
-        return [
-            self.elements[i]
-            for i in range(len(self.elements))
-            if self.up[i] == (1 << i)
-        ]
-
-    def minimal_elements(self) -> list:
-        down = self.down_rows()
-        return [
-            self.elements[i] for i in range(len(self.elements)) if down[i] == (1 << i)
-        ]
-
     # -- derived posets -----------------------------------------------------
 
     def subposet(self, keys: Iterable) -> "Poset":
@@ -280,11 +267,6 @@ def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:
         else:
             raise IntegrityError(f"unknown dismantle direction {direction!r}")
         alive &= ~(1 << i)
-
-
-def order_complex(poset: Poset, dim_cap: int | None = None):
-    """Vertices are the elements; simplices are the nonempty chains."""
-    return poset.order_complex(dim_cap=dim_cap)
 
 
 def under_poset(ambient: Poset, sub: Iterable, b) -> Poset:

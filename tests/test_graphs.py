@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from boxops.graphs import (
 from boxops.textform import from_box_expr
 
 from conftest import family_members
-from oracles import ORACLES, brute_force_family, generic_cycle_search
+from oracles import ORACLES, brute_force_family, decode, generic_cycle_search
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "family_counts.json").read_text())
 
@@ -150,7 +151,7 @@ def test_family_chain_containments():
 
 
 def test_family_membership_against_oracles():
-    for n, k in [(2, 3), (3, 3)]:
+    for n, k in [(2, 3), (3, 3), (2, 4)]:
         for obj in family_members("g", n, k):
             for tag in ("ke", "k", "m", "mup", "mdown"):
                 assert in_family(obj, Family(tag)) == ORACLES[tag](obj), (
@@ -160,7 +161,7 @@ def test_family_membership_against_oracles():
 
 
 def test_acyclicity_equals_no_directed_3cycle():
-    # in_family("k") uses the 3-cycle shortcut; compare with generic search
+    # in_family("k") asks for a topological order; compare with generic search
     for obj in family_members("g", 2, 4):
         arcs = obj.arcs()
         assert in_family(obj, K) == (not generic_cycle_search(obj.k, arcs))
@@ -191,6 +192,18 @@ def test_linear_order_rejects_cycles():
     cyc = from_arcs(2, 3, [(0, 1, 1), (1, 2, 1), (2, 0, 2)])
     with pytest.raises(OrientedCycleError):
         linear_order(cyc)
+
+
+def test_linear_order_equals_generic_cycle_search():
+    for obj in family_members("g", 2, 4):
+        _, k, _, arrow = decode(obj)
+        if generic_cycle_search(k, [pair for pair, fwd in arrow.items() if fwd]):
+            with pytest.raises(OrientedCycleError):
+                linear_order(obj)
+        else:
+            order = linear_order(obj)
+            assert sorted(order) == list(range(k))
+            assert all(arrow[pair] for pair in combinations(order, 2)), obj.key
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from boxops.partitions import (
 )
 from boxops.textform import from_box_expr
 
-from oracles import oracle_refinement_poset
+from oracles import generic_cycle_search, oracle_refinement_poset
 
 
 def part(*blocks):
@@ -65,6 +65,18 @@ def test_partition_counts_fubini():
 def test_context_rejects_cycles():
     with pytest.raises(IntegrityError):
         ArcContext.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_context_refuses_exactly_the_cyclic_arc_sets():
+    for k in range(4):
+        pairs = [(x, y) for x in range(k) for y in range(k) if x != y]
+        for r in range(len(pairs) + 1):
+            for arcs in combinations(pairs, r):
+                if generic_cycle_search(k, arcs):
+                    with pytest.raises(IntegrityError):
+                        ArcContext.from_arcs(k, arcs)
+                else:
+                    assert ArcContext.from_arcs(k, arcs).one_arcs == frozenset(arcs)
 
 
 def test_context_from_graph_object():
