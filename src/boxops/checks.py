@@ -201,10 +201,16 @@ def run_collapse(
     return records
 
 
-def _pmap(fn, items, jobs):
+def _pmap(fn, items, jobs, initializer=None, initargs=()):
+    """[fn(item) for item in items], over `jobs` processes if jobs and the item
+    count both exceed one; initializer(*initargs) runs first wherever fn runs."""
     if jobs <= 1 or len(items) <= 1:
+        if initializer is not None:
+            initializer(*initargs)
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=initializer, initargs=initargs
+    ) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
@@ -241,16 +247,8 @@ def _sample(objs, sample, seed):
 def _poset_sweep(check, direction, n, k, sub_tag, sample, seed, jobs, ambient="ke"):
     objs = _sample(family_tuple(ambient, n, k), sample, seed)
     payloads = [(o.key, n, k) for o in objs]
-    _init_sweep(n, k, sub_tag, direction)
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_sweep,
-            initargs=(n, k, sub_tag, direction),
-        ) as pool:
-            results = list(pool.map(_certify_one, payloads, chunksize=64))
-    else:
-        results = [_certify_one(p) for p in payloads]
+    results = _pmap(_certify_one, payloads, jobs,
+                    initializer=_init_sweep, initargs=(n, k, sub_tag, direction))
     records = []
     for omega_key, status, method, detail in results:
         params = {"n": n, "k": k, "sub": sub_tag, "ambient": ambient,
@@ -360,7 +358,7 @@ def run_duality(n, k, seed=None, pair_samples=20000) -> list[ReportRecord]:
                     checked += 1
             return PASS, {"pairs": checked, "mode": "exhaustive"}
         if seed is None:
-            raise ValueError("sampled sweeps require a seed")
+            return REFUSED, {"reason": "sampling the order reversal requires a seed"}
         rng = random.Random(seed)
         for _ in range(pair_samples):
             a = objs[rng.randrange(len(objs))]

@@ -27,6 +27,8 @@ CHECK_KINDS = (
 
 STANDARD_TAGS = ("g", "ke", "k", "m", "mup", "mdown")
 
+SAMPLED_KINDS = ("initiality", "finality", "grothendieck")
+
 
 def _int_list(text: str) -> list[int]:
     return [int(piece) for piece in text.split(",") if piece]
@@ -112,12 +114,8 @@ def _run_check(args) -> list:
     if kind == "duality":
         return checks.run_duality(args.n, args.k, seed=args.seed)
     if kind == "axioms":
-        if args.seed is None:
-            raise SystemExit("check axioms requires --seed")
         return checks.run_axioms(args.seed)
     if kind == "cubes":
-        if args.seed is None:
-            raise SystemExit("check cubes requires --seed")
         return checks.run_cubes(args.seed)
     if kind == "reedy":
         return checks.run_reedy()
@@ -125,7 +123,8 @@ def _run_check(args) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "enumerate":
         tags = args.tag or list(STANDARD_TAGS)
         specs = [
@@ -138,6 +137,10 @@ def main(argv=None) -> int:
         _emit(records, args.out)
         return exit_code(records)
     if args.command == "check":
+        # a missing seed is a usage error (exit 2), found before any work
+        sampled = args.sample is not None and args.kind in SAMPLED_KINDS
+        if args.seed is None and (sampled or args.kind in ("axioms", "cubes")):
+            parser.error(f"check {args.kind}{' --sample' * sampled} requires --seed")
         records = _run_check(args)
         _emit(records, args.out)
         return exit_code(records)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from . import graphs
 from .bits import iter_bits
@@ -37,8 +38,8 @@ def family_tuple(tag: str, n: int, k: int, lo: int = 1) -> tuple[GraphObject, ..
 class PosetFunctor:
     """A contravariant functor from a base poset to posets.
 
-    transports[(a, b)] for a <= b maps fiber(b) element keys to fiber(a)
-    element keys.  Identity and composition laws plus monotonicity are
+    transports[(a, b)] for a <= b is a tuple with one fiber(a) position per
+    fiber(b) position.  Identity and composition laws plus monotonicity are
     checked at construction.
     """
 
@@ -47,41 +48,32 @@ class PosetFunctor:
     transports: dict
 
     def __post_init__(self):
-        for a in self.base.elements:
-            ident = self.transports.get((a, a))
-            fa = self.fibers[a]
-            if ident is None or any(ident[x] != x for x in fa.elements):
+        base, fibers, transports = self.base, self.fibers, self.transports
+        for a in base.elements:
+            if transports.get((a, a)) != tuple(range(len(fibers[a]))):
                 raise IntegrityError(f"identity transport at {a!r} is not identity")
-        for a in self.base.elements:
-            for b in self.base.elements:
-                if not self.base.le(a, b):
-                    continue
-                t_ab = self.transports[(a, b)]
-                fa, fb = self.fibers[a], self.fibers[b]
-                for x in fb.elements:
-                    if t_ab[x] not in fa.index:
+        above = {
+            a: [base.elements[j] for j in iter_bits(row)]
+            for a, row in zip(base.elements, base.up)
+        }
+        for a in base.elements:
+            for b in above[a]:
+                fa, fb, t = fibers[a], fibers[b], transports[(a, b)]
+                if len(t) != len(fb) or not all(0 <= x < len(fa) for x in t):
+                    raise IntegrityError(f"transport {a!r}<={b!r} leaves the fiber")
+                # the up row of y carried by t lies in the up row of t[y]
+                for y, up_y in enumerate(fb.up):
+                    if not all(fa.up[t[y]] >> t[z] & 1 for z in iter_bits(up_y)):
+                        raise IntegrityError(f"transport {a!r}<={b!r} is not monotone")
+        for a in base.elements:
+            for b in above[a]:
+                t_ab = transports[(a, b)]
+                for c in above[b]:
+                    t_bc, t_ac = transports[(b, c)], transports[(a, c)]
+                    if any(t_ab[x] != z for x, z in zip(t_bc, t_ac)):
                         raise IntegrityError(
-                            f"transport {a!r}<={b!r} leaves the fiber"
+                            f"transport composition law fails on {a!r}<={b!r}<={c!r}"
                         )
-                for x in fb.elements:
-                    for y in fb.elements:
-                        if fb.le(x, y) and not fa.le(t_ab[x], t_ab[y]):
-                            raise IntegrityError(
-                                f"transport {a!r}<={b!r} is not monotone"
-                            )
-                for c in self.base.elements:
-                    if self.base.le(b, c):
-                        t_bc = self.transports[(b, c)]
-                        t_ac = self.transports[(a, c)]
-                        for x in self.fibers[c].elements:
-                            if t_ab[t_bc[x]] != t_ac[x]:
-                                raise IntegrityError(
-                                    "transport composition law fails on "
-                                    f"{a!r}<={b!r}<={c!r}"
-                                )
-
-    def fiber(self, a) -> Poset:
-        return self.fibers[a]
 
 
 def grothendieck(functor: PosetFunctor) -> Poset:
@@ -89,7 +81,8 @@ def grothendieck(functor: PosetFunctor) -> Poset:
 
     Elements run through the fibers in base order.  For each a <= b, pre[t]
     is the mask of the y in fiber(b) transported to t in fiber(a), so row
-    (a, x) gains the OR of pre[t] over t >= x, shifted to b's offset.
+    (a, x) gains the union, a sum as they are disjoint, of the pre[t] over
+    t >= x, shifted to b's offset.
     Raises if the relation is only a preorder; for the block-fiber functors
     used here antisymmetry always holds.
     """
@@ -104,16 +97,11 @@ def grothendieck(functor: PosetFunctor) -> Poset:
         fa = functor.fibers[a]
         fa_rows = [0] * len(fa)
         for ib in iter_bits(base.up[ia]):
-            b = base.elements[ib]
             pre = [0] * len(fa)
-            transport = functor.transports[(a, b)]
-            for j, y in enumerate(functor.fibers[b].elements):
-                pre[fa.index[transport[y]]] |= 1 << j
+            for y, t in enumerate(functor.transports[(a, base.elements[ib])]):
+                pre[t] |= 1 << y
             for x, up_x in enumerate(fa.up):
-                above = 0
-                for t in iter_bits(up_x):
-                    above |= pre[t]
-                fa_rows[x] |= above << offset[ib]
+                fa_rows[x] |= sum(pre[t] for t in iter_bits(up_x)) << offset[ib]
         rows.extend(fa_rows)
     try:
         return Poset(elements, rows, validate=True)
@@ -121,14 +109,10 @@ def grothendieck(functor: PosetFunctor) -> Poset:
         raise IntegrityError(f"total relation is a preorder, not a poset: {exc}")
 
 
-def _block_elements(partition: OrderedPartition) -> list[tuple[int, ...]]:
-    return [tuple(sorted(b)) for b in partition.blocks()]
-
-
 def _block_fiber(n: int, obj: GraphObject, block: tuple[int, ...]):
     """Over-elements of the label-raised decreasing family at obj's restriction.
 
-    Returns (poset over object keys, key -> object dict).
+    Returns (poset over object keys, the member objects in poset order).
     """
     obj_b = restrict(obj, block)
     if any((c >> 1) + 1 == 1 for c in obj_b.codes):
@@ -137,18 +121,21 @@ def _block_fiber(n: int, obj: GraphObject, block: tuple[int, ...]):
         )
     # raising every label by one is an order isomorphism that keeps the key
     # order, so the raised members below obj_b are the raises of the members
-    # below obj_b lowered
+    # below obj_b lowered, already in key order
     index = graphs.family_index(family_tuple("mdown", n - 1, len(block)))
     below = index.below(shift_labels(obj_b, -1, n - 1))
     members = [shift_labels(m, 1, n) for m in index.select(below)]
-    return object_poset(members), {o.key: o for o in members}
+    return object_poset(members), members
 
 
 def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
     """The block-fiber functor over the admissible partitions of obj.
 
     The fiber over a partition is the product of its blocks' over-posets in
-    the label-floor-2 decreasing family; transports restrict blockwise.
+    the label-floor-2 decreasing family; transports restrict blockwise.  For
+    a <= b each block of a lies in one block of b, so a fiber(b) position
+    is carried digit by digit: the coarse block's member at each digit
+    restricts to one member of each fine block inside it.
     """
     if n < 2:
         raise ValueError("the reduction needs at least two labels")
@@ -156,44 +143,38 @@ def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
         raise FamilyError("obj must avoid monochromatic oriented cycles")
     ctx = ArcContext.from_graph_object(obj)
     base = ctx.poset()
-    parts = {v.alpha: v for v in ctx.partitions()}
+    blocks = {v.alpha: v.blocks() for v in ctx.partitions()}
+    distinct = {blk for bs in blocks.values() for blk in bs}
+    block_fibers = {blk: _block_fiber(n, obj, blk) for blk in distinct}
+    fibers = {
+        a: poset_product([block_fibers[blk][0] for blk in bs])
+        for a, bs in blocks.items()
+    }
 
-    fibers = {}
-    block_data = {}
-    for alpha, partition in parts.items():
-        blocks = _block_elements(partition)
-        factor_posets = []
-        factor_objs = []
-        for block in blocks:
-            poset, by_key = _block_fiber(n, obj, block)
-            factor_posets.append(poset)
-            factor_objs.append(by_key)
-        fibers[alpha] = poset_product(factor_posets)
-        block_data[alpha] = (blocks, factor_objs)
-
+    restricted = {}  # (fine, coarse): the fine position of each coarse member
     transports = {}
-    for a in base.elements:
-        for b in base.elements:
-            if not base.le(a, b):
-                continue
-            a_blocks, _ = block_data[a]
-            b_blocks, b_objs = block_data[b]
-            # which coarse block contains each fine block
-            target = []
-            for blk in a_blocks:
-                j = next(
-                    idx for idx, tb in enumerate(b_blocks) if set(blk) <= set(tb)
-                )
-                positions = tuple(b_blocks[j].index(e) for e in blk)
-                target.append((j, positions))
-            mapping = {}
-            for y in fibers[b].elements:
-                image = tuple(
-                    restrict(b_objs[j][y[j]], positions).key
-                    for j, positions in target
-                )
-                mapping[y] = image
-            transports[(a, b)] = mapping
+    for ia, a in enumerate(base.elements):
+        sizes = [len(block_fibers[blk][1]) for blk in blocks[a]]
+        for ib in iter_bits(base.up[ia]):
+            b = base.elements[ib]
+            # carried[j][d]: what digit d of b's block j adds to a position
+            carried = [[0] * len(block_fibers[blk][1]) for blk in blocks[b]]
+            for i, fine in enumerate(blocks[a]):
+                j = b[fine[0]] - 1  # the block of b holding fine
+                coarse = blocks[b][j]
+                if (fine, coarse) not in restricted:
+                    at = [coarse.index(e) for e in fine]
+                    index = block_fibers[fine][0].index
+                    restricted[fine, coarse] = [
+                        index[restrict(m, at).key] for m in block_fibers[coarse][1]
+                    ]
+                stride = prod(sizes[i + 1:])
+                for d, t in enumerate(restricted[fine, coarse]):
+                    carried[j][d] += t * stride
+            images = [0]
+            for adds in carried:
+                images = [x + s for x in images for s in adds]
+            transports[(a, b)] = tuple(images)
     return PosetFunctor(base=base, fibers=fibers, transports=transports)
 
 
@@ -205,7 +186,7 @@ def assemble(
 ) -> GraphObject:
     """Glue block objects along the partition with 1-labeled cross edges.
 
-    blocks are the partition's blocks as _block_elements gives them.
+    blocks are the partition's blocks as OrderedPartition.blocks gives them.
     """
     k = partition.k
     local = {}
@@ -227,11 +208,10 @@ def assemble(
     return GraphObject(n, k, codes)
 
 
-def over_poset_of_mdown(n: int, obj: GraphObject):
-    """Over-poset of the decreasing decomposables at obj, plus objects."""
+def over_poset_of_mdown(n: int, obj: GraphObject) -> Poset:
+    """Over-poset of the decreasing decomposables at obj."""
     index = graphs.family_index(family_tuple("mdown", n, obj.k))
-    members = index.select(index.below(obj))
-    return object_poset(members), {o.key: o for o in members}
+    return object_poset(index.select(index.below(obj)))
 
 
 def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
@@ -242,9 +222,9 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
     """
     functor = block_fiber_functor(n, obj)
     total = grothendieck(functor)
-    over, by_key = over_poset_of_mdown(n, obj)
+    over = over_poset_of_mdown(n, obj)
     ctx = ArcContext.from_graph_object(obj)
-    parts = {v.alpha: (v, _block_elements(v)) for v in ctx.partitions()}
+    parts = {v.alpha: (v, v.blocks()) for v in ctx.partitions()}
 
     candidate = {}
     for alpha, fiber_elem in total.elements:
@@ -328,7 +308,7 @@ def verify_two_label_reduction(obj: GraphObject) -> dict:
             {"object": obj.key},
         )
     base = ctx.poset()
-    over, by_key = over_poset_of_mdown(2, prime)
+    over = over_poset_of_mdown(2, prime)
     order = _one_arc_order(obj)
     pos = {v: i for i, v in enumerate(order)}
 
@@ -369,7 +349,7 @@ def structural_certificate(n: int, obj: GraphObject, certify) -> dict:
     driver = collapse_driver(ctx)
     pieces = {"base_steps": driver.steps, "fibers": []}
     for partition in ctx.partitions():
-        for block in _block_elements(partition):
+        for block in partition.blocks():
             poset, _ = _block_fiber(n, obj, block)
             verdict = certify(poset)
             pieces["fibers"].append(

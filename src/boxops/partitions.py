@@ -54,11 +54,12 @@ class OrderedPartition:
     def p(self) -> int:
         return max(self.alpha, default=0)
 
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.p)]
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks in order, each an ascending tuple of its elements."""
+        out: list[list[int]] = [[] for _ in range(self.p)]
         for x, i in enumerate(self.alpha):
-            out[i - 1].add(x)
-        return tuple(frozenset(b) for b in out)
+            out[i - 1].append(x)
+        return tuple(map(tuple, out))
 
     def block_masks(self) -> tuple[int, ...]:
         out = [0] * self.p

@@ -280,22 +280,19 @@ def over_poset(ambient: Poset, sub: Iterable, b) -> Poset:
 
 
 def poset_product(factors: Sequence[Poset]) -> Poset:
-    """Componentwise-ordered product; element keys are key tuples."""
-    from itertools import product as iproduct
-
-    if not factors:
-        return Poset(((),), (1,), validate=False)
-    elements = [tuple(combo) for combo in iproduct(*(p.elements for p in factors))]
-    idx_combos = [
-        tuple(combo) for combo in iproduct(*(range(len(p)) for p in factors))
-    ]
-    rows = []
-    for xs in idx_combos:
-        row = 0
-        for jpos, ys in enumerate(idx_combos):
-            if all(p.le_idx(x, y) for p, x, y in zip(factors, xs, ys)):
-                row |= 1 << jpos
-        rows.append(row)
+    """Componentwise-ordered product; element keys are key tuples, the last
+    factor fastest.  Appending a factor q of size m puts (x, y) at m * x + y,
+    and its up row is y's row in q repeated at m * s for each bit s of x's."""
+    elements = [()]
+    rows = [1]
+    for q in factors:
+        m = len(q)
+        elements = [x + (y,) for x in elements for y in q.elements]
+        rows = [
+            sum(up_y << (m * s) for s in iter_bits(row))
+            for row in rows
+            for up_y in q.up
+        ]
     return Poset(elements, rows, validate=False)
 
 

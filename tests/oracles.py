@@ -8,6 +8,7 @@ that the fast implementations are then held to.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -271,18 +272,123 @@ def oracle_candidate_isomorphism(p, q, candidate):
     )
 
 
+def transport_keys(fibers, transports, a, b):
+    """transports[(a, b)] as a map on element keys, fiber(b) to fiber(a), or
+    None when it is missing, has the wrong length or a position out of
+    range."""
+    fa, fb, t = fibers[a], fibers[b], transports.get((a, b))
+    if t is None or len(t) != len(fb) or not all(0 <= x < len(fa) for x in t):
+        return None
+    return {y: fa.elements[x] for y, x in zip(fb.elements, t)}
+
+
 def oracle_total_poset(functor):
     """The total poset of a poset functor by its defining relation."""
     from boxops.posets import Poset
 
-    elements = [
-        (a, x) for a in functor.base.elements for x in functor.fibers[a].elements
-    ]
+    base, fibers = functor.base, functor.fibers
+    elements = [(a, x) for a in base.elements for x in fibers[a].elements]
+    maps = {
+        (a, b): transport_keys(fibers, functor.transports, a, b)
+        for a in base.elements
+        for b in base.elements
+        if base.le(a, b)
+    }
 
     def leq(px, py):
         (a, x), (b, y) = px, py
-        return functor.base.le(a, b) and functor.fibers[a].le(
-            x, functor.transports[(a, b)][y]
-        )
+        return base.le(a, b) and fibers[a].le(x, maps[(a, b)][y])
 
     return Poset.from_leq(elements, leq)
+
+
+def oracle_functor_laws(base, fibers, transports):
+    """The first functor law the position transports break, or None.
+
+    Each transport is read as a map on element keys, and the laws are
+    checked pair by pair through Poset.le: identity first, then that every
+    transport stays in its fiber and is monotone, then composition.  The
+    names returned are the words of the library's IntegrityError messages.
+    """
+    pairs = [(a, b) for a in base.elements for b in base.elements if base.le(a, b)]
+    for a in base.elements:
+        ident = transport_keys(fibers, transports, a, a)
+        if ident is None or any(ident[x] != x for x in fibers[a].elements):
+            return "identity"
+    maps = {}
+    for a, b in pairs:
+        t = maps[(a, b)] = transport_keys(fibers, transports, a, b)
+        if t is None:
+            return "leaves the fiber"
+        fa, fb = fibers[a], fibers[b]
+        if any(
+            fb.le(x, y) and not fa.le(t[x], t[y])
+            for x in fb.elements
+            for y in fb.elements
+        ):
+            return "not monotone"
+    for a, b in pairs:
+        for c in base.elements:
+            if base.le(b, c) and any(
+                maps[(a, b)][maps[(b, c)][x]] != maps[(a, c)][x]
+                for x in fibers[c].elements
+            ):
+                return "composition"
+    return None
+
+
+@lru_cache(maxsize=None)
+def _raised_mdown(n, k):
+    """The floor-1 decreasing family at n - 1 labels, every label raised."""
+    from boxops.graphs import shift_labels
+
+    return tuple(shift_labels(o, 1, n) for o in brute_force_family("mdown", n - 1, k))
+
+
+def oracle_transports(n, obj):
+    """The block-fiber functor's transports on keys, by restriction.
+
+    Fiber(b) is the product of b's block fibers, each found by is_morphism
+    over the raised floor-1 decreasing family.  For a <= b each fiber(b)
+    element is carried to the tuple that restricts, for each block of a,
+    the object of the block of b containing it to the block's elements.
+    Returns {(a, b): {fiber(b) key: fiber(a) key}}.
+    """
+    from itertools import product
+
+    from boxops.graphs import from_key, is_morphism, restrict
+    from boxops.partitions import ArcContext
+
+    base = oracle_refinement_poset(ArcContext.from_graph_object(obj))
+    blocks = {
+        alpha: [
+            tuple(x for x, i in enumerate(alpha) if i == p)
+            for p in range(1, max(alpha) + 1)
+        ]
+        for alpha in base.elements
+    }
+    fiber_keys = {}
+    for alpha, bs in blocks.items():
+        factors = []
+        for block in bs:
+            obj_b = restrict(obj, block)
+            raised = _raised_mdown(n, len(block))
+            factors.append(sorted(o.key for o in raised if is_morphism(o, obj_b)))
+        fiber_keys[alpha] = list(product(*factors))
+    out = {}
+    for a in base.elements:
+        for b in base.elements:
+            if not base.le(a, b):
+                continue
+            inside = []
+            for fine in blocks[a]:
+                j = next(j for j, c in enumerate(blocks[b]) if set(fine) <= set(c))
+                inside.append((j, [blocks[b][j].index(e) for e in fine]))
+            out[(a, b)] = {
+                y: tuple(
+                    restrict(from_key(n, len(blocks[b][j]), y[j]), at).key
+                    for j, at in inside
+                )
+                for y in fiber_keys[b]
+            }
+    return out

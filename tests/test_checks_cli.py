@@ -129,6 +129,37 @@ def test_sampled_sweep_requires_seed():
         checks.run_initiality(2, 3, sample=5)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("a check ran without its seed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "initiality", "--sample", "5"],
+    ["check", "finality", "--sample", "5"],
+    ["check", "grothendieck", "--n", "3", "--k", "3", "--sample", "5"],
+    ["check", "axioms"],
+    ["check", "cubes"],
+])
+def test_missing_seed_is_a_usage_error(argv, monkeypatch, capsys):
+    # refused before any sweep runs, with argparse's usage exit code
+    for name in ("run_initiality", "run_finality", "run_grothendieck",
+                 "run_axioms", "run_cubes"):
+        monkeypatch.setattr(checks, name, _no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "requires --seed" in capsys.readouterr().err
+
+
+def test_unseeded_sampled_duality_is_refused(tmp_path):
+    out = tmp_path / "dual.jsonl"
+    code = cli.main(["check", "duality", "--n", "2", "--k", "4", "--out", str(out)])
+    assert code == 2
+    reversal = [r for r in read_records(out) if r.params["variant"] == "order-reversal"]
+    assert [r.verdict for r in reversal] == [REFUSED]
+    assert "requires a seed" in reversal[0].evidence["reason"]
+
+
 def test_run_duality_small():
     records = checks.run_duality(2, 3)
     assert all(r.verdict == PASS for r in records)

@@ -18,7 +18,12 @@ from boxops.grothendieck import (
 from boxops.posets import Poset, poset_isomorphic, poset_product
 from boxops.textform import from_box_expr
 
-from oracles import oracle_total_poset
+from oracles import (
+    oracle_functor_laws,
+    oracle_total_poset,
+    oracle_transports,
+    transport_keys,
+)
 
 
 def chain(m):
@@ -35,7 +40,7 @@ def constant_functor(base, fiber):
     for a in base.elements:
         for b in base.elements:
             if base.le(a, b):
-                transports[(a, b)] = {x: x for x in fiber.elements}
+                transports[(a, b)] = tuple(range(len(fiber)))
     return PosetFunctor(base=base, fibers=fibers, transports=transports)
 
 
@@ -65,12 +70,49 @@ def test_functor_laws_are_enforced():
     base = chain(2)
     fiber = chain(2)
     transports = {
-        (0, 0): {0: 0, 1: 1},
-        (1, 1): {0: 0, 1: 1},
-        (0, 1): {0: 1, 1: 0},  # not monotone
+        (0, 0): (0, 1),
+        (1, 1): (0, 1),
+        (0, 1): (1, 0),  # not monotone
     }
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="not monotone"):
         PosetFunctor(base=base, fibers={0: fiber, 1: fiber}, transports=transports)
+
+
+def antichain(m):
+    return Poset.from_leq(tuple(range(m)), lambda a, b: a == b)
+
+
+def law_case(law, base, fiber, transports, case):
+    """base with the constant fiber, identities on the diagonal, then the
+    given transports, where None drops one."""
+    fibers = {a: fiber for a in base.elements}
+    full = {(a, a): tuple(range(len(fiber))) for a in base.elements}
+    full.update(transports)
+    full = {pair: t for pair, t in full.items() if t is not None}
+    return pytest.param(base, fibers, full, law, id=f"{law}-{case}")
+
+
+LAW_BREAKS = [
+    # a swap on the diagonal is not monotone either, and composes with
+    # itself to the identity: the identity law is the one reported
+    law_case("identity", chain(2), chain(2), {(0, 0): (1, 0), (0, 1): (0, 1)}, "swap"),
+    law_case("identity", chain(2), chain(2), {(1, 1): None, (0, 1): (0, 1)}, "missing"),
+    law_case("leaves the fiber", chain(2), chain(2), {(0, 1): (0,)}, "length"),
+    law_case("leaves the fiber", chain(2), chain(2), {(0, 1): (0, 2)}, "above"),
+    law_case("leaves the fiber", chain(2), chain(2), {(0, 1): (-1, 1)}, "below"),
+    law_case("not monotone", chain(2), chain(2), {(0, 1): (1, 0)}, "swap"),
+    # over an antichain every map is monotone; two swaps compose to the
+    # identity, not to a swap
+    law_case("composition", chain(3), antichain(2),
+             {(0, 1): (1, 0), (1, 2): (1, 0), (0, 2): (1, 0)}, "swaps"),
+]
+
+
+@pytest.mark.parametrize("base,fibers,transports,law", LAW_BREAKS)
+def test_each_functor_law_is_enforced(base, fibers, transports, law):
+    assert oracle_functor_laws(base, fibers, transports) == law
+    with pytest.raises(IntegrityError, match=law):
+        PosetFunctor(base=base, fibers=fibers, transports=transports)
 
 
 def test_fibers_are_points_for_two_labels():
@@ -79,11 +121,28 @@ def test_fibers_are_points_for_two_labels():
         assert all(len(f) == 1 for f in functor.fibers.values())
 
 
+def built_functor_objects():
+    """Every ke(3,3) object and a seeded ke(3,4) sample."""
+    objs = list(family_tuple("ke", 3, 3))
+    return objs + random.Random(2024).sample(list(family_tuple("ke", 3, 4)), 40)
+
+
 def test_functor_laws_hold_for_built_fibers():
-    rng = random.Random(2024)
-    objs = family_tuple("ke", 3, 3)
-    for obj in rng.sample(list(objs), 25):
-        block_fiber_functor(3, obj)  # construction validates the laws
+    for obj in built_functor_objects():
+        functor = block_fiber_functor(3, obj)  # construction validates the laws
+        assert oracle_functor_laws(
+            functor.base, functor.fibers, functor.transports
+        ) is None
+
+
+def test_transports_equal_restriction_oracle():
+    for obj in built_functor_objects():
+        functor = block_fiber_functor(3, obj)
+        got = {
+            pair: transport_keys(functor.fibers, functor.transports, *pair)
+            for pair in functor.transports
+        }
+        assert got == oracle_transports(3, obj)
 
 
 def test_fiber_over_single_block_is_full_over_poset():
@@ -198,24 +257,25 @@ def test_recursive_pipeline_closes_direct_and_structural():
 @pytest.mark.parametrize("n,k,sample", [(2, 3, None), (3, 3, None), (3, 4, 60)])
 def test_indexed_member_filters_equal_is_morphism_filters(n, k, sample):
     from boxops.graphs import is_morphism, restrict, shift_labels
-    from boxops.grothendieck import _block_elements, _block_fiber, over_poset_of_mdown
+    from boxops.grothendieck import _block_fiber, over_poset_of_mdown
     from boxops.partitions import ArcContext
 
     objs = list(family_tuple("ke", n, k))
     if sample is not None:
         objs = random.Random(n * 10 + k).sample(objs, sample)
     for obj in objs:
-        _, by_key = over_poset_of_mdown(n, obj)
+        over = over_poset_of_mdown(n, obj)
         want = [o.key for o in family_tuple("mdown", n, k) if is_morphism(o, obj)]
-        assert list(by_key) == sorted(want)
+        assert list(over.elements) == sorted(want)
         for partition in ArcContext.from_graph_object(obj).partitions():
-            for block in _block_elements(partition):
+            for block in partition.blocks():
                 obj_b = restrict(obj, block)
                 raised = [shift_labels(o, 1, n)
                           for o in family_tuple("mdown", n - 1, len(block))]
                 want = [o.key for o in raised if is_morphism(o, obj_b)]
-                _, by_key = _block_fiber(n, obj, block)
-                assert list(by_key) == sorted(want)
+                poset, members = _block_fiber(n, obj, block)
+                assert [m.key for m in members] == sorted(want)
+                assert list(poset.elements) == sorted(want)
 
 
 def test_total_poset_equals_defining_relation():
@@ -233,6 +293,6 @@ def test_total_preorder_is_refused():
     # is only a preorder (x <= y <= x) makes the total relation one too
     fiber = Poset(("x", "y"), (0b11, 0b11), validate=False)
     functor = PosetFunctor(base=point_poset(), fibers={"*": fiber},
-                           transports={("*", "*"): {"x": "x", "y": "y"}})
+                           transports={("*", "*"): (0, 1)})
     with pytest.raises(IntegrityError, match="preorder"):
         grothendieck(functor)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -329,6 +330,23 @@ def random_poset(rng, m):
             if rank[i] < rank[j] and rng.random() < density:
                 up[i] |= up[j]
     return Poset(range(m), up)
+
+
+def test_product_equals_componentwise_order():
+    rng = random.Random(11)
+    shapes = [chain, antichain, lambda m: random_poset(rng, m)]
+    cases = [[], [chain(1)], [chain(1), antichain(3)], [chain(3), antichain(2)]]
+    for _ in range(60):
+        count = rng.randint(0, 3)
+        cases.append([rng.choice(shapes)(rng.randint(1, 5)) for _ in range(count)])
+    for factors in cases:
+        want = Poset.from_leq(
+            list(product(*(f.elements for f in factors))),
+            lambda xs, ys: all(f.le(x, y) for f, x, y in zip(factors, xs, ys)),
+        )
+        got = poset_product(factors)
+        assert got.elements == want.elements
+        assert got.up == want.up
 
 
 def test_dismantle_equals_oracle_on_random_posets():
