@@ -153,7 +153,6 @@ def run_collapse(
     paranoid: bool = False,
     jobs: int = 1,
     trace_dir=None,
-    max_bits: int = graphs.DEFAULT_MAX_BITS,
 ) -> list[ReportRecord]:
     """Drive the partition-complex collapse for every object at (n, k).
 

@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--out", default=None, help="records file (default stdout)")
     check_p.add_argument("--cache-dir", default="cache",
                          help="evidence/trace directory")
-    check_p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
 
     report_p = sub.add_parser("report", help="aggregate record files")
     report_p.add_argument("paths", nargs="+")
@@ -90,10 +89,9 @@ def _emit(records, out_path) -> None:
 def _run_check(args) -> list:
     kind = args.kind
     if kind == "collapse":
-        trace_dir = Path(args.cache_dir) / "traces"
         return checks.run_collapse(
             n=args.n, k=args.k, paranoid=args.paranoid, jobs=args.jobs,
-            trace_dir=trace_dir, max_bits=args.max_bits,
+            trace_dir=Path(args.cache_dir) / "traces",
         )
     if kind == "initiality":
         return checks.run_initiality(

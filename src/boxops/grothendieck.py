@@ -178,34 +178,39 @@ def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
     return PosetFunctor(base=base, fibers=fibers, transports=transports)
 
 
-def assemble(
-    n: int,
-    partition: OrderedPartition,
-    blocks: list[tuple[int, ...]],
-    block_objs: list[GraphObject],
-) -> GraphObject:
-    """Glue block objects along the partition with 1-labeled cross edges.
+def _gluing(n: int, alpha: tuple[int, ...]) -> tuple[int, int]:
+    """The keys (cross, within) of the partition word alpha at n labels.
 
-    blocks are the partition's blocks as OrderedPartition.blocks gives them.
+    cross has code 1, label 1 pointing to the later block, on every edge
+    between two blocks; within has every bit of each edge inside a block.
     """
-    k = partition.k
-    local = {}
-    for bi, block in enumerate(blocks):
-        for pos, e in enumerate(block):
-            local[e] = (bi, pos)
-    codes = []
-    for x, y in graphs.edge_pairs(k):
-        bx, px = local[x]
-        by, py = local[y]
-        if bx == by:
-            obj = block_objs[bx]
-            lab = obj.label(px, py)
-            fwd = obj.arrow(px, py)
-            codes.append((lab - 1) * 2 + (1 if fwd else 0))
-        else:
-            fwd = partition.alpha[x] < partition.alpha[y]
-            codes.append(1 if fwd else 0)
-    return GraphObject(n, k, codes)
+    bits = graphs.code_bits(n)
+    cross = within = 0
+    for x, y in graphs.edge_pairs(len(alpha)):
+        cross <<= bits
+        within <<= bits
+        if alpha[x] == alpha[y]:
+            within |= (1 << bits) - 1
+        elif alpha[x] < alpha[y]:
+            cross |= 1
+    return cross, within
+
+
+def _scatter(n: int, k: int, block: tuple[int, ...], key: int) -> int:
+    """A block object's key moved onto its block's edge fields in a k-object.
+
+    The block is ascending, so each of its edges keeps its order and
+    orientation in the k-object.
+    """
+    bits = graphs.code_bits(n)
+    mask = (1 << bits) - 1
+    top = k * (k - 1) // 2 - 1
+    out = 0
+    for i, j in reversed(graphs.edge_pairs(len(block))):
+        shift = (top - graphs.pair_position(k, block[i], block[j])) * bits
+        out |= (key & mask) << shift
+        key >>= bits
+    return out
 
 
 def over_poset_of_mdown(n: int, obj: GraphObject) -> Poset:
@@ -223,25 +228,28 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
     functor = block_fiber_functor(n, obj)
     total = grothendieck(functor)
     over = over_poset_of_mdown(n, obj)
-    ctx = ArcContext.from_graph_object(obj)
-    parts = {v.alpha: (v, v.blocks()) for v in ctx.partitions()}
 
+    # each element glues its block keys along the cross edges of its word
+    cross = {a: _gluing(n, a)[0] for a in functor.base.elements}
+    blocks = {a: OrderedPartition(a).blocks() for a in functor.base.elements}
+    scattered = {}
     candidate = {}
-    for alpha, fiber_elem in total.elements:
-        partition, blocks = parts[alpha]
-        objs = [
-            graphs.from_key(n, len(block), key)
-            for block, key in zip(blocks, fiber_elem)
-        ]
-        glued = assemble(n, partition, blocks, objs)
-        if not in_family(glued, graphs.MDOWN):
-            raise FalsificationError(
-                "assembled object is not in the decreasing family",
-                {"alpha": alpha, "key": glued.key},
-            )
-        candidate[(alpha, fiber_elem)] = glued.key
-    witness = poset_isomorphic(total, over, candidate=candidate)
-    if witness is None:
+    for alpha, keys in total.elements:
+        glued = cross[alpha]
+        for block, key in zip(blocks[alpha], keys):
+            if (block, key) not in scattered:
+                scattered[block, key] = _scatter(n, obj.k, block, key)
+            glued |= scattered[block, key]
+        candidate[(alpha, keys)] = glued
+    # over holds exactly the decreasing members below obj, so a key in it is
+    # one of them; poset_isomorphic then checks that the keys cover over
+    stray = next((e for e in total.elements if candidate[e] not in over.index), None)
+    if stray is not None:
+        raise FalsificationError(
+            "assembled key is not in the over-poset of the decreasing family",
+            {"alpha": stray[0], "key": candidate[stray]},
+        )
+    if poset_isomorphic(total, over, candidate=candidate) is None:
         raise FalsificationError(
             "assembly map is not an order isomorphism",
             {"object": obj.key, "total": len(total), "over": len(over)},
@@ -261,14 +269,6 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
 # the two-label reduction
 
 
-def _one_arc_order(obj: GraphObject) -> list[int]:
-    """The least-index topological order of obj's 1-labeled arcs."""
-    order = graphs.topological_order(obj.k, obj.arcs(label=1))
-    if order is None:
-        raise IntegrityError("constraint arcs contain a cycle")
-    return order
-
-
 def two_label_form(obj: GraphObject) -> GraphObject:
     """Collapse labels to {1, 2} and orient along an extension of the 1-arcs.
 
@@ -278,14 +278,14 @@ def two_label_form(obj: GraphObject) -> GraphObject:
     if not in_family(obj, graphs.KE):
         raise FamilyError("obj must avoid monochromatic oriented cycles")
     k = obj.k
-    order = _one_arc_order(obj)
+    order = graphs.topological_order(k, obj.arcs(label=1))
+    if order is None:
+        raise IntegrityError("constraint arcs contain a cycle")
     pos = {v: i for i, v in enumerate(order)}
-    codes = []
-    for x, y in graphs.edge_pairs(k):
-        lab = 1 if obj.label(x, y) == 1 else 2
-        fwd = pos[x] < pos[y]
-        codes.append((lab - 1) * 2 + (1 if fwd else 0))
-    out = GraphObject(2, k, codes)
+    out = GraphObject(2, k, (
+        (0 if obj.label(x, y) == 1 else 2) + (pos[x] < pos[y])
+        for x, y in graphs.edge_pairs(k)
+    ))
     for x, y in graphs.edge_pairs(k):
         if obj.label(x, y) == 1 and out.arrow(x, y) != obj.arrow(x, y):
             raise IntegrityError("extension reversed a constrained arc")
@@ -309,22 +309,13 @@ def verify_two_label_reduction(obj: GraphObject) -> dict:
         )
     base = ctx.poset()
     over = over_poset_of_mdown(2, prime)
-    order = _one_arc_order(obj)
-    pos = {v: i for i, v in enumerate(order)}
-
+    # no 1-label lies inside a block, so prime's in-block edges are the
+    # label-2 edges oriented along the extension
     candidate = {}
     for alpha in base.elements:
-        partition = OrderedPartition(alpha)
-        k = partition.k
-        codes = []
-        for x, y in graphs.edge_pairs(k):
-            if partition.alpha[x] == partition.alpha[y]:
-                codes.append(2 + (1 if pos[x] < pos[y] else 0))
-            else:
-                codes.append(1 if partition.alpha[x] < partition.alpha[y] else 0)
-        candidate[alpha] = GraphObject(2, k, codes).key
-    witness = poset_isomorphic(base, over, candidate=candidate)
-    if witness is None:
+        cross, within = _gluing(2, alpha)
+        candidate[alpha] = cross | prime.key & within
+    if poset_isomorphic(base, over, candidate=candidate) is None:
         raise FalsificationError(
             "identity-on-partitions map is not an isomorphism",
             {"object": obj.key},
@@ -348,11 +339,10 @@ def structural_certificate(n: int, obj: GraphObject, certify) -> dict:
     ctx = ArcContext.from_graph_object(obj)
     driver = collapse_driver(ctx)
     pieces = {"base_steps": driver.steps, "fibers": []}
+    status = {}  # block: its fiber's verdict status
     for partition in ctx.partitions():
         for block in partition.blocks():
-            poset, _ = _block_fiber(n, obj, block)
-            verdict = certify(poset)
-            pieces["fibers"].append(
-                (partition.word(), len(block), verdict.status)
-            )
+            if block not in status:
+                status[block] = certify(_block_fiber(n, obj, block)[0]).status
+            pieces["fibers"].append((partition.word(), len(block), status[block]))
     return pieces

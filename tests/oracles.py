@@ -345,18 +345,14 @@ def _raised_mdown(n, k):
     return tuple(shift_labels(o, 1, n) for o in brute_force_family("mdown", n - 1, k))
 
 
-def oracle_transports(n, obj):
-    """The block-fiber functor's transports on keys, by restriction.
-
-    Fiber(b) is the product of b's block fibers, each found by is_morphism
-    over the raised floor-1 decreasing family.  For a <= b each fiber(b)
-    element is carried to the tuple that restricts, for each block of a,
-    the object of the block of b containing it to the block's elements.
-    Returns {(a, b): {fiber(b) key: fiber(a) key}}.
-    """
+def _oracle_fibers(n, obj):
+    """The refinement poset of obj's admissible partitions, each partition's
+    blocks, and its fiber keys: the product over its blocks of the sorted
+    keys of the raised floor-1 decreasing members that is_morphism finds
+    below obj's restriction to the block."""
     from itertools import product
 
-    from boxops.graphs import from_key, is_morphism, restrict
+    from boxops.graphs import is_morphism, restrict
     from boxops.partitions import ArcContext
 
     base = oracle_refinement_poset(ArcContext.from_graph_object(obj))
@@ -375,6 +371,21 @@ def oracle_transports(n, obj):
             raised = _raised_mdown(n, len(block))
             factors.append(sorted(o.key for o in raised if is_morphism(o, obj_b)))
         fiber_keys[alpha] = list(product(*factors))
+    return base, blocks, fiber_keys
+
+
+def oracle_transports(n, obj):
+    """The block-fiber functor's transports on keys, by restriction.
+
+    Fiber(b) is the product of b's block fibers (_oracle_fibers).  For
+    a <= b each fiber(b) element is carried to the tuple that restricts,
+    for each block of a, the object of the block of b containing it to the
+    block's elements.
+    Returns {(a, b): {fiber(b) key: fiber(a) key}}.
+    """
+    from boxops.graphs import from_key, restrict
+
+    base, blocks, fiber_keys = _oracle_fibers(n, obj)
     out = {}
     for a in base.elements:
         for b in base.elements:
@@ -391,4 +402,61 @@ def oracle_transports(n, obj):
                 )
                 for y in fiber_keys[b]
             }
+    return out
+
+
+def oracle_assembly_candidates(n, obj):
+    """The assembly map on keys, glued object by object.
+
+    Each element of each partition's fiber (_oracle_fibers) decodes its block
+    keys with from_key and glues them pair by pair into a GraphObject: an
+    edge inside a block takes the block object's label and arrow, a cross
+    edge label 1 pointing to the later block.  Every glued object must be
+    in the decreasing family.
+    Returns {(alpha, block keys): glued key}.
+    """
+    from boxops.graphs import MDOWN, GraphObject, from_key, in_family
+
+    _, blocks, fiber_keys = _oracle_fibers(n, obj)
+    out = {}
+    for alpha, elements in fiber_keys.items():
+        local = {e: (i, block.index(e))
+                 for i, block in enumerate(blocks[alpha]) for e in block}
+        for keys in elements:
+            objs = [from_key(n, len(b), key) for b, key in zip(blocks[alpha], keys)]
+            codes = []
+            for x in range(obj.k):
+                for y in range(x + 1, obj.k):
+                    (bx, px), (by, py) = local[x], local[y]
+                    if bx == by:
+                        lab, fwd = objs[bx].label(px, py), objs[bx].arrow(px, py)
+                        codes.append((lab - 1) * 2 + (1 if fwd else 0))
+                    else:
+                        codes.append(1 if alpha[x] < alpha[y] else 0)
+            glued = GraphObject(n, obj.k, codes)
+            assert in_family(glued, MDOWN), (alpha, keys)
+            out[(alpha, keys)] = glued.key
+    return out
+
+
+def oracle_two_label_candidates(obj):
+    """The two-label reduction's map on keys, code by code: a cross edge
+    gets label 1 pointing to the later block, an edge inside a block label 2
+    oriented along the least-index topological order of obj's 1-arcs.
+    Returns {alpha: key}."""
+    from boxops.graphs import GraphObject, topological_order
+    from boxops.partitions import ArcContext
+
+    pos = {v: i for i, v in enumerate(topological_order(obj.k, obj.arcs(label=1)))}
+    out = {}
+    for v in ArcContext.from_graph_object(obj).partitions():
+        alpha = v.alpha
+        codes = []
+        for x in range(obj.k):
+            for y in range(x + 1, obj.k):
+                if alpha[x] == alpha[y]:
+                    codes.append(2 + (1 if pos[x] < pos[y] else 0))
+                else:
+                    codes.append(1 if alpha[x] < alpha[y] else 0)
+        out[alpha] = GraphObject(2, obj.k, codes).key
     return out

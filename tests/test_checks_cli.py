@@ -176,6 +176,14 @@ def test_run_reedy():
     assert record.evidence["not_injective"]
 
 
+def test_run_collapse_refuses_over_bit_budget():
+    # 36 pairs at three bits each exceed the 96-bit default budget
+    records = checks.run_collapse(n=3, k=9)
+    assert [(r.verdict, r.evidence) for r in records] == [
+        (REFUSED, {"reason": "enumeration needs 108 key bits, budget is 96"})
+    ]
+
+
 def test_run_grothendieck_k2():
     records = checks.run_grothendieck(3, 2)
     assert all(r.verdict == PASS for r in records)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from boxops import graphs
+from boxops import grothendieck as groth
 from boxops.contractibility import certify_contractible
-from boxops.errors import IntegrityError
+from boxops.errors import FalsificationError, IntegrityError
 from boxops.grothendieck import (
     PosetFunctor,
     block_fiber_functor,
@@ -19,9 +20,11 @@ from boxops.posets import Poset, poset_isomorphic, poset_product
 from boxops.textform import from_box_expr
 
 from oracles import (
+    oracle_assembly_candidates,
     oracle_functor_laws,
     oracle_total_poset,
     oracle_transports,
+    oracle_two_label_candidates,
     transport_keys,
 )
 
@@ -296,3 +299,106 @@ def test_total_preorder_is_refused():
                            transports={("*", "*"): (0, 1)})
     with pytest.raises(IntegrityError, match="preorder"):
         grothendieck(functor)
+
+
+# ---------------------------------------------------------------------------
+# the assembly candidates on keys
+
+
+def capture_candidates(monkeypatch):
+    """Record each candidate map the verifies hand to poset_isomorphic."""
+    seen = []
+    real = groth.poset_isomorphic
+
+    def spy(p, q, candidate=None):
+        seen.append(candidate)
+        return real(p, q, candidate=candidate)
+
+    monkeypatch.setattr(groth, "poset_isomorphic", spy)
+    return seen
+
+
+def test_assembly_candidates_equal_gluing_oracle(monkeypatch):
+    seen = capture_candidates(monkeypatch)
+    for obj in built_functor_objects():
+        seen.clear()
+        verify_grothendieck_prop(3, obj)
+        assert seen == [oracle_assembly_candidates(3, obj)]
+
+
+def test_two_label_candidates_equal_code_oracle(monkeypatch):
+    seen = capture_candidates(monkeypatch)
+    for obj in built_functor_objects():
+        seen.clear()
+        verify_two_label_reduction(obj)
+        assert seen == [oracle_two_label_candidates(obj)]
+
+
+def first_with_one_arc():
+    return next(o for o in family_tuple("ke", 3, 3) if o.arcs(label=1))
+
+
+def test_spoiled_cross_key_is_not_in_the_over_poset(monkeypatch):
+    # reversing the block order points every cross edge to the earlier
+    # block, against the 1-arc every admissible partition separates
+    gluing = groth._gluing
+
+    def reversed_blocks(n, alpha):
+        return gluing(n, tuple(max(alpha) + 1 - i for i in alpha))
+
+    monkeypatch.setattr(groth, "_gluing", reversed_blocks)
+    obj = first_with_one_arc()
+    with pytest.raises(FalsificationError, match="not in the over-poset") as exc:
+        verify_grothendieck_prop(3, obj)
+    over = groth.over_poset_of_mdown(3, obj)
+    alphas = block_fiber_functor(3, obj).base.elements
+    assert exc.value.state["alpha"] in alphas
+    assert exc.value.state["key"] not in over.index
+
+
+def test_swapped_assembly_keys_are_not_an_isomorphism(monkeypatch):
+    real = groth.poset_isomorphic
+
+    def swapped(p, q, candidate):
+        # an element and one strictly above it trade images
+        i = next(i for i, row in enumerate(p.up) if row.bit_count() > 1)
+        j = next(j for j in range(len(p)) if j != i and p.up[i] >> j & 1)
+        a, b = p.elements[i], p.elements[j]
+        candidate = dict(candidate)
+        candidate[a], candidate[b] = candidate[b], candidate[a]
+        return real(p, q, candidate=candidate)
+
+    monkeypatch.setattr(groth, "poset_isomorphic", swapped)
+    with pytest.raises(FalsificationError, match="not an order isomorphism"):
+        verify_grothendieck_prop(3, from_box_expr("(1[]2 2)[]3 3", 3))
+
+
+def test_spoiled_two_label_candidate_is_refused(monkeypatch):
+    # an empty within key drops prime's label-2 edges inside every block
+    gluing = groth._gluing
+    monkeypatch.setattr(groth, "_gluing", lambda n, alpha: (gluing(n, alpha)[0], 0))
+    with pytest.raises(FalsificationError, match="identity-on-partitions"):
+        verify_two_label_reduction(from_box_expr("(1[]2 2)[]3 3", 3))
+
+
+def test_structural_certificate_builds_each_block_once(monkeypatch):
+    from boxops.partitions import ArcContext
+
+    real = groth._block_fiber
+    built = []
+
+    def counted(n, obj, block):
+        built.append(block)
+        return real(n, obj, block)
+
+    monkeypatch.setattr(groth, "_block_fiber", counted)
+    for obj in built_functor_objects():
+        built.clear()
+        pieces = structural_certificate(3, obj, certify_contractible)
+        parts = ArcContext.from_graph_object(obj).partitions()
+        assert sorted(built) == sorted({b for v in parts for b in v.blocks()})
+        assert pieces["fibers"] == [
+            (v.word(), len(b), certify_contractible(real(3, obj, b)[0]).status)
+            for v in parts
+            for b in v.blocks()
+        ]
