@@ -244,14 +244,17 @@ def _sample(objs, sample, seed):
 
 
 def _poset_sweep(check, direction, n, k, sub_tag, sample, seed, jobs, ambient="ke"):
-    objs = _sample(family_tuple(ambient, n, k), sample, seed)
+    base = {"n": n, "k": k, "sub": sub_tag, "ambient": ambient}
+    try:
+        objs = _sample(family_tuple(ambient, n, k), sample, seed)
+    except BitBudgetError as exc:
+        return [ReportRecord(check, base, REFUSED, {"reason": str(exc)})]
     payloads = [(o.key, n, k) for o in objs]
     results = _pmap(_certify_one, payloads, jobs,
                     initializer=_init_sweep, initargs=(n, k, sub_tag, direction))
     records = []
     for omega_key, status, method, detail in results:
-        params = {"n": n, "k": k, "sub": sub_tag, "ambient": ambient,
-                  "object_key": omega_key}
+        params = {**base, "object_key": omega_key}
         if status == "CONTRACTIBLE-certified":
             records.append(
                 ReportRecord(check, params, PASS,
@@ -283,8 +286,12 @@ def run_grothendieck(n, k, sample=None, seed=None) -> list[ReportRecord]:
     if n < 2:
         return [ReportRecord("grothendieck", {"n": n, "k": k}, REFUSED,
                              {"reason": "the reduction needs at least two labels"})]
+    try:
+        objs = family_tuple("ke", n, k)
+    except BitBudgetError as exc:
+        return [ReportRecord("grothendieck", {"n": n, "k": k}, REFUSED,
+                             {"reason": str(exc)})]
     records = []
-    objs = family_tuple("ke", n, k)
     for obj in _sample(objs, sample, seed):
         params = {"n": n, "k": k, "variant": "iso", "object_key": obj.key}
         records.append(
@@ -326,8 +333,12 @@ def run_duality(n, k, seed=None, pair_samples=20000) -> list[ReportRecord]:
     def membership():
         pairs = (("mup", "mdown"), ("mdown", "mup"), ("m", "m"),
                  ("k", "k"), ("ke", "ke"))
+        try:
+            objs = family_tuple("g", n, k)
+        except BitBudgetError as exc:
+            return REFUSED, {"reason": str(exc)}
         count = 0
-        for obj in family_tuple("g", n, k):
+        for obj in objs:
             d = dual(obj)
             if dual(d) != obj:
                 raise FalsificationError("dual is not involutive", {"key": obj.key})
@@ -345,7 +356,10 @@ def run_duality(n, k, seed=None, pair_samples=20000) -> list[ReportRecord]:
     )
 
     def reversal():
-        objs = family_tuple("g", n, k)
+        try:
+            objs = family_tuple("g", n, k)
+        except BitBudgetError as exc:
+            return REFUSED, {"reason": str(exc)}
         checked = 0
         if len(objs) ** 2 <= 4_000_000:
             for a in objs:

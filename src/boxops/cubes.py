@@ -1,15 +1,18 @@
 """Exact-rational little cubes and the order-pattern subspaces.
 
-Everything here is decided by exact Fraction comparisons: realization
-membership, constructive witnesses, the closed-form union membership test,
-the straight-line contracting homotopies, the operad compatibility checks
-and the colimit-fiber counterexample.  No floats anywhere.
+Everything here is exact: realization membership, constructive witnesses,
+the closed-form union membership test, the straight-line contracting
+homotopies, the operad compatibility checks and the colimit-fiber
+counterexample.  Endpoints are Fractions; each configuration also holds
+them as integers over its common denominator, and every order question on
+a configuration is an integer comparison on that grid.  No floats anywhere.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -63,15 +66,32 @@ class LittleCube:
 
 @dataclass(frozen=True)
 class CubeConfig:
-    """A tuple of little cubes indexed by the ground set 0..k-1."""
+    """A tuple of little cubes indexed by the ground set 0..k-1.
+
+    The grid holds every endpoint as an integer over den, the lcm of the
+    endpoint denominators: lo[x * n + i - 1] and hi[x * n + i - 1] are cube
+    x's endpoints in coordinate i, times den.  It is derived from the cubes,
+    so equality, hashing and the text form ignore it.
+    """
 
     n: int
     cubes: tuple[LittleCube, ...]
+    den: int = field(init=False, repr=False, compare=False)
+    lo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    hi: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for c in self.cubes:
             if c.n != self.n:
                 raise ValueError("all cubes must have the ambient dimension")
+        coords = [e for c in self.cubes for e in c.coords]
+        den = math.lcm(*(e.a.denominator for e in coords),
+                       *(e.b.denominator for e in coords))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "lo", tuple(
+            e.a.numerator * (den // e.a.denominator) for e in coords))
+        object.__setattr__(self, "hi", tuple(
+            e.b.numerator * (den // e.b.denominator) for e in coords))
 
     @property
     def k(self) -> int:
@@ -79,15 +99,7 @@ class CubeConfig:
 
     def separated(self) -> bool:
         """Pairwise disjoint open images, via per-coordinate separation."""
-        for x in range(self.k):
-            for y in range(x + 1, self.k):
-                cx, cy = self.cubes[x], self.cubes[y]
-                if not any(
-                    less_i(cx, cy, i) or less_i(cy, cx, i)
-                    for i in range(1, self.n + 1)
-                ):
-                    return False
-        return True
+        return _separated(self.n, self.k, self.lo, self.hi)
 
     def to_text(self) -> str:
         rows = []
@@ -111,22 +123,40 @@ class CubeConfig:
 
 
 def less_i(c: LittleCube, d: LittleCube, i: int) -> bool:
-    """Coordinate-i separation: c's upper endpoint at or below d's lower."""
+    """Coordinate-i separation: c's upper endpoint at or below d's lower.
+
+    The definition on Fractions; a configuration's grid answers the same
+    question with one integer comparison.
+    """
     if not 1 <= i <= c.n:
         raise ValueError(f"coordinate {i} out of range 1..{c.n}")
     return c.coords[i - 1].b <= d.coords[i - 1].a
 
 
+def _separated(n: int, k: int, lo: Sequence[int], hi: Sequence[int]) -> bool:
+    """Every two of the k cubes on a grid are apart in some coordinate."""
+    for x in range(k):
+        for y in range(x + 1, k):
+            if not any(
+                hi[x * n + i] <= lo[y * n + i] or hi[y * n + i] <= lo[x * n + i]
+                for i in range(n)
+            ):
+                return False
+    return True
+
+
 def realizes(config: CubeConfig, mu: GraphObject) -> bool:
-    """Does the configuration realize mu's order pattern exactly."""
+    """Does the configuration realize mu's order pattern exactly.
+
+    Each edge code c puts the tail's cube below the head's in coordinate
+    (c >> 1) + 1, the tail being the smaller element when c & 1.
+    """
     if config.n != mu.n or config.k != mu.k:
         raise ValueError("configuration and object shapes differ")
-    for x, y in graphs.edge_pairs(mu.k):
-        i = mu.label(x, y)
-        if mu.arrow(x, y):
-            if not less_i(config.cubes[x], config.cubes[y], i):
-                return False
-        elif not less_i(config.cubes[y], config.cubes[x], i):
+    n, lo, hi = config.n, config.lo, config.hi
+    for (x, y), c in zip(graphs.edge_pairs(mu.k), mu.codes):
+        tail, head = (x, y) if c & 1 else (y, x)
+        if hi[tail * n + (c >> 1)] > lo[head * n + (c >> 1)]:
             return False
     return True
 
@@ -234,22 +264,23 @@ def brute_force_realizes_below(
     Runs on the family's bitset index (graphs.family_index): the members
     below nu are one AND per edge.  Edge by edge, that set then keeps only
     the members whose code on the edge the configuration realizes, each
-    (edge, code) pair decided by one exact less_i comparison.  Nothing is
-    shared with realizes_below or the less_table masks it is checked
-    against; `table` is accepted for callers that pass one and never read.
+    (edge, code) pair decided by one integer comparison on the grid.
+    Nothing is shared with realizes_below or the less_table masks it is
+    checked against; `table` is accepted for callers that pass one and
+    never read.
     """
     if config.n != nu.n or config.k != nu.k:
         raise ValueError("configuration and object shapes differ")
     index = graphs.family_index(family)
     found = index.below(nu)
-    cubes = config.cubes
+    n, lo, hi = config.n, config.lo, config.hi
     for (x, y), by_code in zip(graphs.edge_pairs(nu.k), index.with_code):
         if not found:
             break
         fits = 0
         for c, members in enumerate(by_code):
             tail, head = (x, y) if c & 1 else (y, x)
-            if members & found and less_i(cubes[tail], cubes[head], (c >> 1) + 1):
+            if members & found and hi[tail * n + (c >> 1)] <= lo[head * n + (c >> 1)]:
                 fits |= members
         found &= fits
     return bool(found)
@@ -258,19 +289,19 @@ def brute_force_realizes_below(
 def less_table(config: CubeConfig) -> list[list[int]]:
     """tab[x][y]: bitmask of coordinates i (bit i-1) with cube x below cube y.
 
-    Holds every exact comparison of the configuration once, so a sweep can
+    Holds every comparison of the configuration's grid once, so a sweep can
     test many objects against it through realizes_below_table.
     """
-    k, n = config.k, config.n
+    k, n, lo, hi = config.k, config.n, config.lo, config.hi
     tab = [[0] * k for _ in range(k)]
     for x in range(k):
         for y in range(k):
             if x == y:
                 continue
             bits = 0
-            for i in range(1, n + 1):
-                if less_i(config.cubes[x], config.cubes[y], i):
-                    bits |= 1 << (i - 1)
+            for i in range(n):
+                if hi[x * n + i] <= lo[y * n + i]:
+                    bits |= 1 << i
             tab[x][y] = bits
     return tab
 
@@ -282,9 +313,9 @@ def realizes_below_table(table, nu: GraphObject) -> bool:
     below the head's in some coordinate i <= l, or the head's below the
     tail's in some coordinate i < l.
     """
-    for x, y in graphs.edge_pairs(nu.k):
-        tail, head = (x, y) if nu.arrow(x, y) else (y, x)
-        bound = nu.label(x, y)
+    for (x, y), c in zip(graphs.edge_pairs(nu.k), nu.codes):
+        tail, head = (x, y) if c & 1 else (y, x)
+        bound = (c >> 1) + 1
         if not (
             table[tail][head] & ((1 << bound) - 1)
             or table[head][tail] & ((1 << (bound - 1)) - 1)
@@ -378,21 +409,25 @@ def compose_configs(outer: CubeConfig, inners: Sequence[CubeConfig]) -> CubeConf
 def sample_config(
     rng: random.Random, n: int, k: int, max_den: int = 24, tries: int = 4000
 ) -> CubeConfig:
-    """A separated configuration with grid endpoints, by rejection."""
+    """A separated configuration with endpoints in (1/max_den)Z, by rejection.
+
+    Each try draws the integer endpoints and is tested for separation
+    before any Fraction is built.
+    """
     for _ in range(tries):
-        cubes = []
-        for _ in range(k):
-            coords = []
-            for _ in range(n):
-                lo = rng.randint(0, max_den - 1)
-                hi = rng.randint(lo + 1, max_den)
-                coords.append(
-                    AffineEmbedding(Fraction(lo, max_den), Fraction(hi, max_den))
-                )
-            cubes.append(LittleCube(tuple(coords)))
-        config = CubeConfig(n, tuple(cubes))
-        if config.separated():
-            return config
+        lo, hi = [], []
+        for _ in range(k * n):
+            a = rng.randint(0, max_den - 1)
+            lo.append(a)
+            hi.append(rng.randint(a + 1, max_den))
+        if _separated(n, k, lo, hi):
+            return CubeConfig(n, tuple(
+                LittleCube(tuple(
+                    AffineEmbedding(Fraction(lo[j], max_den), Fraction(hi[j], max_den))
+                    for j in range(x * n, x * n + n)
+                ))
+                for x in range(k)
+            ))
     raise RuntimeError(f"no separated sample found in {tries} tries")
 
 

@@ -184,6 +184,23 @@ def test_run_collapse_refuses_over_bit_budget():
     ]
 
 
+@pytest.mark.parametrize("kind", ["initiality", "finality", "grothendieck", "duality"])
+def test_sweeps_refuse_over_bit_budget(kind, tmp_path):
+    # 36 pairs at three bits each exceed the 96-bit default budget
+    out = tmp_path / f"{kind}.jsonl"
+    code = cli.main(["check", kind, "--n", "3", "--k", "9", "--out", str(out)])
+    assert code == 2
+    refused = {"reason": "enumeration needs 108 key bits, budget is 96"}
+    records = read_records(out)
+    if kind == "duality":
+        assert [(r.params["variant"], r.verdict) for r in records] == [
+            ("edge-table", PASS), ("membership", REFUSED), ("order-reversal", REFUSED)]
+        records = records[1:]
+    else:
+        assert len(records) == 1
+    assert all((r.verdict, r.evidence) == (REFUSED, refused) for r in records)
+
+
 def test_run_grothendieck_k2():
     records = checks.run_grothendieck(3, 2)
     assert all(r.verdict == PASS for r in records)

@@ -1,5 +1,9 @@
+import hashlib
+import math
+import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +22,7 @@ from boxops.cubes import (
     realizes,
     infimum_check,
     less_i,
+    less_table,
     permute_config,
     reedy_counterexample,
     sample_config,
@@ -29,7 +34,7 @@ from boxops.graphs import from_arcs, is_morphism
 from boxops.textform import from_box_expr
 
 from conftest import family_members
-from oracles import oracle_union_below
+from oracles import oracle_realizes, oracle_union_below
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
@@ -300,3 +305,90 @@ def test_brute_force_union_memo_and_empty_family():
         want = brute_force_realizes_below(cfg, nu, objs)
         assert brute_force_realizes_below(cfg, nu, list(objs)) == want
         assert brute_force_realizes_below(cfg, nu, []) is False
+
+
+def grid_configs():
+    """Configurations with mixed endpoint denominators, including k = 0,
+    k = 1 and one configuration that is not separated."""
+    rng = random.Random(4141)
+    s23, s33, s24 = (sample_config(rng, n, k) for n, k in ((2, 3), (3, 3), (2, 4)))
+    unit = witness(graphs.point(2))
+    halves = witness(from_box_expr("1[]2 2", 2))
+    thirds = CubeConfig.from_text(2, "0/1:1/3;0/1:1/1|1/3:1/1;0/1:1/1")
+    nested = compose_configs(thirds, [compose_configs(halves, [unit, halves]), unit])
+    nu24 = family_members("ke", 2, 4)[1234]
+    return [
+        s23, s33, s24, nested,
+        blend(s23, witness(family_members("ke", 2, 3)[17]), Fraction(1, 3)),
+        stage_homotopy(2, s24, Fraction(5, 12), witness(nu24)),
+        CubeConfig.from_text(2, "0/1:1/3;1/4:1/2|1/3:1/1;0/1:1/4|1/4:1/2;1/4:3/4"),
+        worked_config(),  # the configuration of the colimit-fiber counterexample
+        CubeConfig(2, ()),
+        CubeConfig.from_text(3, "1/3:3/4;0/1:1/1;1/4:1/3"),
+    ]
+
+
+def test_grid_holds_each_endpoint_over_the_common_denominator():
+    configs = grid_configs()
+    assert {cfg.den for cfg in configs} == {1, 6, 12, 24, 36, 288}
+    for cfg in configs:
+        dens = [f.denominator for c in cfg.cubes for e in c.coords for f in (e.a, e.b)]
+        assert cfg.den == math.lcm(*dens)
+        assert len(cfg.lo) == len(cfg.hi) == cfg.k * cfg.n
+        for x, cube in enumerate(cfg.cubes):
+            for i, e in enumerate(cube.coords):
+                assert Fraction(cfg.lo[x * cfg.n + i], cfg.den) == e.a
+                assert Fraction(cfg.hi[x * cfg.n + i], cfg.den) == e.b
+
+
+def test_grid_comparisons_equal_less_i():
+    configs = grid_configs()
+    assert not all(cfg.separated() for cfg in configs)
+    for cfg in configs:
+        n, k, cubes = cfg.n, cfg.k, cfg.cubes
+        table = less_table(cfg)
+        for x in range(k):
+            for y in range(k):
+                for i in range(1, n + 1):
+                    want = x != y and less_i(cubes[x], cubes[y], i)
+                    assert bool(table[x][y] >> (i - 1) & 1) == want, (x, y, i)
+        assert cfg.separated() == all(
+            any(less_i(c, d, i) or less_i(d, c, i) for i in range(1, n + 1))
+            for c, d in combinations(cubes, 2)
+        )
+        for mu in family_members("g", n, k):
+            assert realizes(cfg, mu) == oracle_realizes(cfg, mu)
+
+
+def test_union_tests_on_grid_configs_match_fraction_oracle():
+    rng = random.Random(8)
+    for cfg in grid_configs():
+        if not cfg.separated():
+            continue
+        objs = family_members("ke", cfg.n, cfg.k)
+        nus = objs if len(objs) <= 210 else rng.sample(objs, 12)
+        for nu in nus:
+            want = oracle_union_below(cfg, nu, objs)
+            assert realizes_below(cfg, nu) == want
+            assert brute_force_realizes_below(cfg, nu, objs) == want
+
+
+def test_grid_is_invisible_to_equality_hash_repr_and_text():
+    a, b = worked_config(), worked_config()
+    for name, value in (("den", 1), ("lo", ()), ("hi", ())):
+        object.__setattr__(b, name, value)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and a.to_text() == b.to_text()
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and (c.den, c.lo, c.hi) == (a.den, a.lo, a.hi)
+
+
+def test_sample_config_draws_are_unchanged():
+    # sha256 of the text forms as sample_config drew them when it still
+    # built every try's Fractions before testing separation
+    texts = []
+    for n, k in ((2, 3), (3, 3), (2, 4), (3, 4)):
+        rng = random.Random(1000 * n + k)
+        texts += [sample_config(rng, n, k).to_text() for _ in range(200)]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "f209596b17cd82fcef937ffb39ad43ab5c60a33a63c07a40f543ae4130e49f24"
