@@ -222,9 +222,24 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
     Each step takes the lexicographically smallest free face, then its
     unique cofacet.  A stuck terminal is reported as-is, never as a
     counterexample.
+
+    Beside each present simplex's coface count, xors[s] is the XOR of the
+    vertex bits its present cofacets add to s, so a free face's one cofacet
+    is face | xors[face]: removing a simplex uncounts it at each facet and
+    XORs the dropped vertex out of that facet's entry.
     """
-    counts = _coface_counts(complex_.materialize())
-    nverts = len(complex_.vertices)
+    simplices = complex_.materialize()
+    counts = dict.fromkeys(simplices, 0)
+    xors = dict.fromkeys(simplices, 0)
+    for mask in simplices:
+        rest = mask
+        while rest:
+            b = rest & -rest
+            face = mask ^ b
+            if face:
+                counts[face] += 1
+                xors[face] ^= b
+            rest ^= b
 
     def face_key(mask: int) -> tuple:
         return tuple(iter_bits(mask))
@@ -233,18 +248,6 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
     heapq.heapify(heap)
     candidates = {f for _, f in heap}
     steps: list[tuple[int, int]] = []
-
-    def unique_cofacet(face: int) -> int | None:
-        found = None
-        for i in range(nverts):
-            if (face >> i) & 1:
-                continue
-            up = face | (1 << i)
-            if up in counts:
-                if found is not None:
-                    return None
-                found = up
-        return found
 
     while True:
         face = None
@@ -256,14 +259,22 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
                 break
         if face is None:
             break
-        cof = unique_cofacet(face)
-        if cof is None:
+        added = xors[face]
+        cof = face | added
+        if added.bit_count() != 1 or added & face or cof not in counts:
             raise IntegrityError("free-face bookkeeping disagrees with the complex")
         for gone in (cof, face):
-            _remove(counts, gone)
-            for i in iter_bits(gone):
-                sub = gone & ~(1 << i)
-                if counts.get(sub) == 1 and sub not in candidates:
+            del counts[gone]
+            rest = gone
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                sub = gone ^ b
+                if not sub:
+                    continue
+                counts[sub] -= 1
+                xors[sub] ^= b
+                if counts[sub] == 1 and sub not in candidates:
                     heapq.heappush(heap, (face_key(sub), sub))
                     candidates.add(sub)
         steps.append((face, cof))

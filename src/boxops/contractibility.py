@@ -94,7 +94,9 @@ def _cone(poset: Poset) -> bool:
 
     minimum() reads the up rows and maximum() the down rows; the apex either
     one claims is checked through the other family of rows, so a wrong apex
-    raises IntegrityError instead of certifying a cone.
+    raises IntegrityError instead of certifying a cone.  A member poset
+    from object_poset computes the two families independently, from the
+    index's above and below rows.
     """
     apex, rows = poset.minimum(), poset.down_rows()
     if apex is None:
@@ -112,13 +114,24 @@ def _cone(poset: Poset) -> bool:
 def object_poset(objs: Sequence) -> Poset:
     """Poset over the canonical keys of objects in the morphism order.
 
-    Elements are key-ascending.  Row i is read from a FamilyIndex over the
-    sorted objects as the members objs[i] maps to, so the objects must share
-    one shape (n, k).
+    Elements are key-ascending.  Up row i is read from a FamilyIndex over
+    the sorted objects as the members objs[i] maps to, and down row i as the
+    members that map to objs[i], so the objects must share one shape (n, k)
+    and the poset never transposes its rows.
+
+    Key order is a linear extension of the morphism order: mu -> nu puts
+    every edge code of mu at or below nu's, so key(mu) <= key(nu).  No up
+    row therefore has a bit below its own index, which lets the dismantler
+    find each witness in one AND.
     """
     objs = sorted(objs, key=lambda o: o.key)
     index = graphs.FamilyIndex(objs)
-    return Poset([o.key for o in objs], [index.above(o) for o in objs], validate=False)
+    return Poset(
+        [o.key for o in objs],
+        [index.above(o) for o in objs],
+        validate=False,
+        down_rows=[index.below(o) for o in objs],
+    )
 
 
 def check_homotopy_initial(

@@ -665,8 +665,9 @@ class FamilyIndex:
     Member j is bit j, in the sequence's own order.  with_code[e][c] holds
     the members whose edge e has code c.  below_rows[e][c] holds those whose
     edge e steps to code c (edge_step_ok(member code, c)), and
-    above_rows[e][c] those whose edge e is reached from code c.  The
-    members below or above an object are then one AND per edge.
+    above_rows[e][c] those whose edge e is reached from code c; each is
+    the OR of the with_code columns over the codes _step_codes lists once
+    per n.  The members below or above an object are then one AND per edge.
     """
 
     __slots__ = ("members", "size", "n", "k", "with_code", "below_rows", "above_rows")
@@ -685,13 +686,12 @@ class FamilyIndex:
             # the last member's code comes first, as the most significant digit
             column = bytes(m.codes[e] for m in reversed(members))
             self.with_code.append([int(column.translate(digits[c]), 2) for c in codes])
+        steps_to, steps_from = _step_codes(self.n)
         self.below_rows = [
-            [_union(row, (c for c in codes if edge_step_ok(c, want))) for want in codes]
-            for row in self.with_code
+            [_union(row, froms) for froms in steps_to] for row in self.with_code
         ]
         self.above_rows = [
-            [_union(row, (c for c in codes if edge_step_ok(want, c))) for want in codes]
-            for row in self.with_code
+            [_union(row, tos) for tos in steps_from] for row in self.with_code
         ]
 
     def below(self, nu: GraphObject) -> int:
@@ -719,6 +719,24 @@ class FamilyIndex:
         for row, c in zip(rows, nu.codes):
             acc &= row[c]
         return acc
+
+
+_STEP_CODES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}
+
+
+def _step_codes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(steps_to, steps_from) for label bound n: steps_to[want] lists the
+    codes c with edge_step_ok(c, want) and steps_from[want] those with
+    edge_step_ok(want, c), each ascending.  Computed once per n."""
+    try:
+        return _STEP_CODES[n]
+    except KeyError:
+        codes = range(2 * n)
+        _STEP_CODES[n] = (
+            tuple(tuple(c for c in codes if edge_step_ok(c, want)) for want in codes),
+            tuple(tuple(c for c in codes if edge_step_ok(want, c)) for want in codes),
+        )
+        return _STEP_CODES[n]
 
 
 def _union(row: list[int], codes: Iterable[int]) -> int:

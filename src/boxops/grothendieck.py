@@ -70,7 +70,7 @@ class PosetFunctor:
                 t_ab = transports[(a, b)]
                 for c in above[b]:
                     t_bc, t_ac = transports[(b, c)], transports[(a, c)]
-                    if any(t_ab[x] != z for x, z in zip(t_bc, t_ac)):
+                    if tuple(map(t_ab.__getitem__, t_bc)) != t_ac:
                         raise IntegrityError(
                             f"transport composition law fails on {a!r}<={b!r}<={c!r}"
                         )

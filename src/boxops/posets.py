@@ -13,11 +13,18 @@ from .errors import IntegrityError
 
 
 class Poset:
-    """Immutable finite poset.  up[i] is the bitmask of {j : e_i <= e_j}."""
+    """Immutable finite poset.  up[i] is the bitmask of {j : e_i <= e_j}.
+
+    down_rows, when the caller already has them, are the rows
+    {j : e_j <= e_i}; without them the first down_rows() call transposes the
+    up rows.  validate checks the order axioms and that given down rows are
+    the transpose of the up rows.
+    """
 
     __slots__ = ("elements", "index", "up", "_down")
 
-    def __init__(self, elements: Sequence, up_rows: Sequence[int], validate: bool = True):
+    def __init__(self, elements: Sequence, up_rows: Sequence[int], validate: bool = True,
+                 down_rows: Sequence[int] | None = None):
         elements = tuple(elements)
         up_rows = tuple(up_rows)
         if len(elements) != len(up_rows):
@@ -27,7 +34,7 @@ class Poset:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", {e: i for i, e in enumerate(elements)})
         object.__setattr__(self, "up", up_rows)
-        object.__setattr__(self, "_down", None)
+        object.__setattr__(self, "_down", None if down_rows is None else tuple(down_rows))
         if validate:
             self._validate()
 
@@ -58,6 +65,8 @@ class Poset:
                     raise ValueError(
                         f"transitivity fails above {self.elements[i]!r}"
                     )
+        if self._down is not None and self._down != _transpose(self.up):
+            raise ValueError("down rows are not the transpose of the up rows")
 
     @classmethod
     def from_leq(cls, elements: Sequence, leq: Callable, validate: bool = True) -> "Poset":
@@ -93,15 +102,7 @@ class Poset:
 
     def down_rows(self) -> tuple[int, ...]:
         if self._down is None:
-            m = len(self.elements)
-            down = [0] * m
-            for i, row in enumerate(self.up):
-                bits = row
-                while bits:
-                    b = bits & (-bits)
-                    down[b.bit_length() - 1] |= 1 << i
-                    bits ^= b
-            object.__setattr__(self, "_down", tuple(down))
+            object.__setattr__(self, "_down", _transpose(self.up))
         return self._down
 
     def minimum(self):
@@ -194,10 +195,12 @@ class Poset:
         comparable to an element, so removing i unsettles only
         up[i] | down[i]; the other elements found not to be beat points stay
         settled, and the lowest unsettled beat point is the lowest one.  The
-        up-witness is the least element of the strict up-set S, the one bit
-        of S & AND(down[j] for j in S), and the down-witness the greatest
-        element of the strict down-set.  Returns the core and the removal
-        steps (key, witness_key, "up"|"down").
+        up-witness is the least element of the strict up-set and the
+        down-witness the greatest element of the strict down-set, each found
+        by _least/_greatest: on a poset whose index order is a linear
+        extension, such as a member poset, one AND and one inclusion test.
+        Returns the core and the removal steps (key, witness_key,
+        "up"|"down").
         """
         up = self.up
         down = self.down_rows()
@@ -211,12 +214,10 @@ class Poset:
                 unsettled ^= b
                 i = b.bit_length() - 1
                 direction = "up"
-                strict = up[i] & alive & ~b
-                witness = _extreme(strict, down)
+                witness = _least(up[i] & alive & ~b, up, down)
                 if not witness:
                     direction = "down"
-                    strict = down[i] & alive & ~b
-                    witness = _extreme(strict, up)
+                    witness = _greatest(down[i] & alive & ~b, up, down)
                 if witness:
                     steps.append(
                         (self.elements[i], self.elements[witness.bit_length() - 1],
@@ -233,17 +234,49 @@ class Poset:
         return core, steps
 
 
-def _extreme(strict: int, rows: Sequence[int]) -> int:
-    """The bit of the element of `strict` lying in every row of `strict`'s
-    elements, or 0: with down rows the least element, with up rows the
-    greatest."""
-    common = strict
-    bits = strict
-    while bits and common:
+def _least(strict: int, up: Sequence[int], down: Sequence[int]) -> int:
+    """The bit of the least element of `strict`, or 0.
+
+    ANDs the down rows of strict's elements from the lowest bit upward
+    until at most one candidate is left (by antisymmetry, at most one is
+    left once every row is in), then keeps the candidate only if strict
+    lies in its up row.  When index order is a linear extension, the lowest
+    bit's down row meets strict in that bit alone, so one AND decides.
+    """
+    cands = bits = strict
+    while bits and cands & (cands - 1):
         b = bits & -bits
         bits ^= b
-        common &= rows[b.bit_length() - 1]
-    return common
+        cands &= down[b.bit_length() - 1]
+    if cands.bit_count() == 1 and not strict & ~up[cands.bit_length() - 1]:
+        return cands
+    return 0
+
+
+def _greatest(strict: int, up: Sequence[int], down: Sequence[int]) -> int:
+    """The bit of the greatest element of `strict`, or 0: as _least with
+    the up rows ANDed from the highest bit downward, and the candidate kept
+    only if strict lies in its down row."""
+    cands = bits = strict
+    while bits and cands & (cands - 1):
+        i = bits.bit_length() - 1
+        bits ^= 1 << i
+        cands &= up[i]
+    if cands.bit_count() == 1 and not strict & ~down[cands.bit_length() - 1]:
+        return cands
+    return 0
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the converse relation: bit i of out[j] iff bit j of rows[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            b = row & -row
+            out[b.bit_length() - 1] |= bit
+            row ^= b
+    return tuple(out)
 
 
 def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:

@@ -259,6 +259,46 @@ def oracle_dismantle(poset):
     return [poset.elements[i] for i in _bits(alive)], steps
 
 
+def oracle_greedy_collapse(complex_):
+    """The greedy collapse with each free face's cofacet found by scanning
+    the vertices: take the lexicographically least face with exactly one
+    present cofacet, remove that cofacet and the face, repeat.
+
+    Returns the steps (face, cofacet) and the terminal maximal simplices,
+    as masks over the complex's sorted vertices.
+    """
+    import heapq
+
+    present = set(complex_.materialize())
+    nverts = len(complex_.vertices)
+
+    def cofacets(face):
+        return [face | 1 << i for i in range(nverts)
+                if not face >> i & 1 and face | 1 << i in present]
+
+    heap = [(_bits(f), f) for f in present if len(cofacets(f)) == 1]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        _, face = heapq.heappop(heap)
+        if face not in present:
+            continue
+        above = cofacets(face)
+        if len(above) != 1:
+            continue
+        cof = above[0]
+        present -= {face, cof}
+        steps.append((face, cof))
+        # only a facet of a removed simplex can have become free
+        for gone in (cof, face):
+            for i in _bits(gone):
+                sub = gone & ~(1 << i)
+                if sub in present and len(cofacets(sub)) == 1:
+                    heapq.heappush(heap, (_bits(sub), sub))
+    terminal = sorted((m for m in present if not cofacets(m)), key=_bits)
+    return tuple(steps), tuple(terminal)
+
+
 def oracle_refinement_poset(ctx):
     """The admissible partitions of a context ordered by le_partition."""
     from boxops.partitions import OrderedPartition, le_partition

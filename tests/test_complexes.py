@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from boxops import contractibility
 from boxops.complexes import (
     CollapseTrace,
     SimplicialComplex,
@@ -9,11 +10,16 @@ from boxops.complexes import (
     greedy_collapse,
     replay_trace,
 )
-from boxops.contractibility import object_poset
+from boxops.contractibility import (
+    check_homotopy_final,
+    check_homotopy_initial,
+    object_poset,
+)
 from boxops.errors import CapExceededError, IntegrityError
 from boxops.homology import reduced_homology, smith_diagonal
 
 from conftest import family_members
+from oracles import oracle_greedy_collapse
 
 
 def full_simplex(m):
@@ -91,6 +97,30 @@ def test_replay_rejects_tampered_trace():
     )
     with pytest.raises(IntegrityError):
         replay_trace(c, bad)
+
+
+def test_greedy_collapse_equals_scan_oracle(monkeypatch):
+    # the cores the collapse fallback meets in the four sweeps over all of
+    # ke(3,3) and 40 seeded ke(3,4) objects
+    cores = []
+    real = contractibility.greedy_collapse
+
+    def recorded(c):
+        cores.append(c)
+        return real(c)
+
+    monkeypatch.setattr(contractibility, "greedy_collapse", recorded)
+    for n, k, sample in [(3, 3, None), (3, 4, 40)]:
+        ambient = family_members("ke", n, k)
+        if sample is not None:
+            ambient = random.Random(41).sample(ambient, sample)
+        for check, tag in [(check_homotopy_initial, "mdown"), (check_homotopy_initial, "m"),
+                           (check_homotopy_final, "mup"), (check_homotopy_final, "m")]:
+            check(ambient, family_members(tag, n, k))
+    assert len(cores) >= 40
+    for c in cores + [triangle_boundary()]:
+        trace = greedy_collapse(c)
+        assert (trace.steps, trace.terminal_maximal) == oracle_greedy_collapse(c)
 
 
 def test_greedy_collapse_steps_are_mask_pairs():

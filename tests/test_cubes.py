@@ -222,18 +222,20 @@ def test_homotopy_preserves_membership_seeded():
 
 
 def test_blend_convexity_seeded():
+    # a blend of two configurations realizes every object both realize
     rng = random.Random(31)
     objs = list(family_members("ke", 2, 3))
-    done = 0
-    while done < 40:
-        mu = rng.choice(objs)
+    pairs = 0
+    while pairs < 40:
         c1 = sample_config(rng, 2, 3)
         c2 = sample_config(rng, 2, 3)
-        if not (realizes(c1, mu) and realizes(c2, mu)):
+        shared = [mu for mu in objs if realizes(c1, mu) and realizes(c2, mu)]
+        if not shared:
             continue
         lam = Fraction(rng.randint(0, 8), 8)
-        assert realizes(blend(c1, c2, lam), mu)
-        done += 1
+        mid = blend(c1, c2, lam)
+        assert all(realizes(mid, mu) for mu in shared)
+        pairs += 1
 
 
 def test_permute_and_compose_units():

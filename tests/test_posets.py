@@ -54,6 +54,10 @@ def test_validation_rejects_non_posets():
         Poset((0, 1), (0b11, 0b11))  # antisymmetry
     with pytest.raises(ValueError):
         Poset((0, 1, 2), (0b011, 0b110, 0b100))  # 0<=1<=2 but not 0<=2
+    # given down rows must be the transpose of the up rows
+    assert Poset((0, 1), (0b11, 0b10), down_rows=(0b01, 0b11)).down_rows() == (0b01, 0b11)
+    with pytest.raises(ValueError):
+        Poset((0, 1), (0b11, 0b10), down_rows=(0b11, 0b10))
 
 
 def test_minimum_maximum():
@@ -260,6 +264,7 @@ def test_homotopy_member_posets_equal_oracle(monkeypatch, n, k, sample, side, ta
         want = oracle_member_poset(sub, b, side)
         assert posets[b.key].elements == want.elements
         assert posets[b.key].up == want.up
+        assert posets[b.key].down_rows() == want.down_rows()
         assert verdicts[b.key] == certify_contractible(want)
 
 
@@ -272,6 +277,8 @@ def test_object_poset_equals_oracle_on_random_subsets():
             got, want = object_poset(subset), oracle_object_poset(subset)
             assert got.elements == want.elements
             assert got.up == want.up
+            # read from the index's below rows, not transposed from up
+            assert got.down_rows() == want.down_rows()
 
 
 def test_sub_equals_ambient_gives_cones():
@@ -317,12 +324,14 @@ def test_dismantle_equals_oracle_on_sweep_member_posets(monkeypatch, side, tag):
         assert_dismantle_equals_oracle(poset)
 
 
-def random_poset(rng, m):
-    """A random order on range(m) whose linear extension is shuffled, so
-    that key order and order relation are unrelated."""
+def random_poset(rng, m, shuffled=True):
+    """A random order on range(m).  Its linear extension is shuffled, so
+    that key order and order relation are unrelated, or with shuffled=False
+    it is index order, as in a member poset."""
     density = rng.choice((0.05, 0.15, 0.3, 0.6))
     rank = list(range(m))
-    rng.shuffle(rank)
+    if shuffled:
+        rng.shuffle(rank)
     up = [1 << i for i in range(m)]
     # close under transitivity from the highest rank down
     for i in sorted(range(m), key=lambda i: -rank[i]):
@@ -350,16 +359,32 @@ def test_product_equals_componentwise_order():
 
 
 def test_dismantle_equals_oracle_on_random_posets():
-    rng = random.Random(5)
-    removed = stuck = 0
-    for _ in range(2000):
-        poset = random_poset(rng, rng.randint(1, 40))
-        assert_dismantle_equals_oracle(poset)
-        core, steps = poset.dismantle()
-        removed += bool(steps)
-        stuck += len(core) > 1
-    # both outcomes occur often
-    assert removed > 500 and stuck > 200
+    for shuffled in (True, False):
+        rng = random.Random(5)
+        removed = stuck = 0
+        for _ in range(2000):
+            poset = random_poset(rng, rng.randint(1, 40), shuffled)
+            assert_dismantle_equals_oracle(poset)
+            core, steps = poset.dismantle()
+            removed += bool(steps)
+            stuck += len(core) > 1
+        # both outcomes occur often
+        assert removed > 500 and stuck > 200
+
+
+def assert_index_order_extends_order(poset):
+    for i, (up, down) in enumerate(zip(poset.up, poset.down_rows())):
+        assert up >> i << i == up and down >> (i + 1) == 0
+
+
+def test_member_posets_have_index_order_as_linear_extension(monkeypatch):
+    # the dismantler's one-AND witness search rests on this
+    assert_index_order_extends_order(object_poset(family_members("g", 3, 3)))
+    ambient = random.Random(200).sample(family_members("ke", 3, 4), 200)
+    monkeypatch.setattr(contractibility, "certify_contractible", lambda p: p)
+    for side, tag in [("over", "mdown"), ("over", "m"), ("under", "mup"), ("under", "m")]:
+        for poset in SIDES[side](ambient, family_members(tag, 3, 4)).values():
+            assert_index_order_extends_order(poset)
 
 
 def test_candidate_isomorphism_cases():
