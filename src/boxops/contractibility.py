@@ -114,10 +114,11 @@ def _cone(poset: Poset) -> bool:
 def object_poset(objs: Sequence) -> Poset:
     """Poset over the canonical keys of objects in the morphism order.
 
-    Elements are key-ascending.  Up row i is read from a FamilyIndex over
-    the sorted objects as the members objs[i] maps to, and down row i as the
-    members that map to objs[i], so the objects must share one shape (n, k)
-    and the poset never transposes its rows.
+    Elements are key-ascending.  The objects must share one shape (n, k),
+    checked once, else DimensionError.  Over a FamilyIndex of the sorted
+    objects, up row i (the members objs[i] maps to) and down row i (the
+    members that map to objs[i]) are read in one AND pass over the index's
+    above and below rows, so the poset never transposes its rows.
 
     Key order is a linear extension of the morphism order: mu -> nu puts
     every edge code of mu at or below nu's, so key(mu) <= key(nu).  No up
@@ -125,13 +126,21 @@ def object_poset(objs: Sequence) -> Poset:
     find each witness in one AND.
     """
     objs = sorted(objs, key=lambda o: o.key)
+    if objs:
+        n, k = objs[0].n, objs[0].k
+        for o in objs:
+            graphs.require_shape(n, k, o)
     index = graphs.FamilyIndex(objs)
-    return Poset(
-        [o.key for o in objs],
-        [index.above(o) for o in objs],
-        validate=False,
-        down_rows=[index.below(o) for o in objs],
-    )
+    everyone = (1 << len(objs)) - 1
+    up, down = [], []
+    for o in objs:
+        above = below = everyone
+        for ups, downs, c in zip(index.above_rows, index.below_rows, o.codes):
+            above &= ups[c]
+            below &= downs[c]
+        up.append(above)
+        down.append(below)
+    return Poset([o.key for o in objs], up, validate=False, down_rows=down)
 
 
 def check_homotopy_initial(

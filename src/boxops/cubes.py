@@ -261,29 +261,59 @@ def brute_force_realizes_below(
 ) -> bool:
     """Union test: some family member below nu realizes the configuration.
 
-    Runs on the family's bitset index (graphs.family_index): the members
-    below nu are one AND per edge.  Edge by edge, that set then keeps only
-    the members whose code on the edge the configuration realizes, each
-    (edge, code) pair decided by one integer comparison on the grid.
-    Nothing is shared with realizes_below or the less_table masks it is
-    checked against; `table` is accepted for callers that pass one and
-    never read.
+    Runs on the family's bitset index (graphs.family_index), starting from
+    every member.  On each edge it ORs the with_code columns of the codes
+    that step to nu's code there and that the configuration realizes on its
+    grid, reading each code's grid slots from _edge_slots, and ANDs that
+    into the running set; an empty set ends the test.  Nothing is shared
+    with realizes_below or the less_table masks it is checked against;
+    `table` is accepted for callers that pass one and never read.
     """
     if config.n != nu.n or config.k != nu.k:
         raise ValueError("configuration and object shapes differ")
     index = graphs.family_index(family)
-    found = index.below(nu)
-    n, lo, hi = config.n, config.lo, config.hi
-    for (x, y), by_code in zip(graphs.edge_pairs(nu.k), index.with_code):
-        if not found:
-            break
+    if not index.size:
+        return False
+    graphs.require_shape(index.n, index.k, nu)
+    lo, hi = config.lo, config.hi
+    found = (1 << index.size) - 1
+    for by_code, slots, want in zip(index.with_code, _edge_slots(nu.n, nu.k), nu.codes):
         fits = 0
-        for c, members in enumerate(by_code):
-            tail, head = (x, y) if c & 1 else (y, x)
-            if members & found and hi[tail * n + (c >> 1)] <= lo[head * n + (c >> 1)]:
-                fits |= members
+        for c, tail, head in slots[want]:
+            if hi[tail] <= lo[head]:
+                fits |= by_code[c]
         found &= fits
-    return bool(found)
+        if not found:
+            return False
+    return True
+
+
+_EDGE_SLOTS: dict[tuple[int, int], tuple] = {}
+
+
+def _edge_slots(n: int, k: int) -> tuple:
+    """slots[e][want]: a (c, tail slot, head slot) triple for each code c
+    that steps to code `want` on edge e of edge_pairs(k).
+
+    The slots index a configuration's grid: the configuration realizes c on
+    edge e when hi[tail slot] <= lo[head slot].  Computed once per (n, k).
+    """
+    try:
+        return _EDGE_SLOTS[n, k]
+    except KeyError:
+        steps_to = graphs._step_codes(n)[0]
+        slots = []
+        for x, y in graphs.edge_pairs(k):
+            by_want = []
+            for froms in steps_to:
+                triples = []
+                for c in froms:
+                    tail, head = (x, y) if c & 1 else (y, x)
+                    triples.append((c, tail * n + (c >> 1), head * n + (c >> 1)))
+                by_want.append(tuple(triples))
+            slots.append(tuple(by_want))
+        _EDGE_SLOTS[n, k] = tuple(slots)
+        return _EDGE_SLOTS[n, k]
 
 
 def less_table(config: CubeConfig) -> list[list[int]]:

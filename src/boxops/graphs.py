@@ -710,15 +710,19 @@ class FamilyIndex:
     def _meet(self, rows, nu: GraphObject) -> int:
         if not self.size:
             return 0
-        if nu.n != self.n or nu.k != self.k:
-            raise DimensionError(
-                f"family has shape (n={self.n}, k={self.k}), "
-                f"object has (n={nu.n}, k={nu.k})"
-            )
+        require_shape(self.n, self.k, nu)
         acc = (1 << self.size) - 1
         for row, c in zip(rows, nu.codes):
             acc &= row[c]
         return acc
+
+
+def require_shape(n: int, k: int, obj: GraphObject) -> None:
+    """Raise DimensionError unless obj has the family's shape (n, k)."""
+    if obj.n != n or obj.k != k:
+        raise DimensionError(
+            f"family has shape (n={n}, k={k}), object has (n={obj.n}, k={obj.k})"
+        )
 
 
 _STEP_CODES: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {}

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from boxops import graphs
+from boxops import cubes, graphs
 from boxops.cubes import (
     AffineEmbedding,
     CubeConfig,
@@ -29,7 +29,7 @@ from boxops.cubes import (
     verify_cycle_certificate,
     witness,
 )
-from boxops.errors import FamilyError
+from boxops.errors import DimensionError, FamilyError
 from boxops.graphs import from_arcs, is_morphism
 from boxops.textform import from_box_expr
 
@@ -284,15 +284,30 @@ def test_down_family_infimum_sampled_property():
         done += 1
 
 
-@pytest.mark.parametrize("n,k,configs,nu_samples", [
-    (2, 3, 12, None), (3, 3, 6, None), (2, 4, 6, 40),
+@pytest.mark.parametrize("tag,n,k,configs,nu_samples", [
+    pytest.param("ke", 2, 3, 12, None, id="2-3-12-None"),
+    pytest.param("ke", 3, 3, 6, None, id="3-3-6-None"),
+    pytest.param("ke", 2, 4, 6, 40, id="2-4-6-40"),
+    # n = 1 and n = 4 put a wrong x * n + l grid stride on other slots
+    pytest.param("ke", 1, 3, 12, None, id="1-3-12-None"),
+    pytest.param("ke", 1, 4, 12, None, id="1-4-12-None"),
+    pytest.param("ke", 4, 3, 4, 40, id="4-3-4-40"),
+    # half of m(2,3) in a seeded shuffled order: a family that is neither
+    # all of ke nor key-sorted, indexed in the sequence's own order
+    pytest.param("m-shuffled", 2, 3, 12, None, id="m-shuffled-2-3-12-None"),
 ])
-def test_brute_force_union_matches_definition(n, k, configs, nu_samples):
+def test_brute_force_union_matches_definition(tag, n, k, configs, nu_samples):
     rng = random.Random(1000 * n + k)
-    objs = list(family_members("ke", n, k))
+    nu_pool = list(family_members("ke", n, k))
+    if tag == "m-shuffled":
+        members = list(family_members("m", n, k))
+        objs = rng.sample(members, len(members) // 2)
+        assert objs != sorted(objs, key=lambda o: o.key)
+    else:
+        objs = nu_pool
     for _ in range(configs):
         cfg = sample_config(rng, n, k)
-        nus = objs if nu_samples is None else rng.sample(objs, nu_samples)
+        nus = nu_pool if nu_samples is None else rng.sample(nu_pool, nu_samples)
         for nu in nus:
             assert brute_force_realizes_below(cfg, nu, objs) == oracle_union_below(
                 cfg, nu, objs
@@ -307,6 +322,46 @@ def test_brute_force_union_memo_and_empty_family():
         want = brute_force_realizes_below(cfg, nu, objs)
         assert brute_force_realizes_below(cfg, nu, list(objs)) == want
         assert brute_force_realizes_below(cfg, nu, []) is False
+
+
+def test_brute_force_union_errors_and_degenerate_arities():
+    rng = random.Random(6)
+    cfg23, cfg33 = sample_config(rng, 2, 3), sample_config(rng, 3, 3)
+    ke23, ke24 = family_members("ke", 2, 3), family_members("ke", 2, 4)
+    nu23 = ke23[5]
+    # a configuration/object shape mismatch is checked first, even before
+    # the family is looked at
+    for family in (ke23, ke24, []):
+        with pytest.raises(ValueError, match="shapes differ"):
+            brute_force_realizes_below(cfg33, nu23, family)
+    # an object of another shape than a nonempty family
+    for family in (ke24, family_members("ke", 3, 3)):
+        with pytest.raises(DimensionError):
+            brute_force_realizes_below(cfg23, nu23, family)
+    assert brute_force_realizes_below(cfg23, nu23, []) is False
+    # no edges: every member of a nonempty family lies below nu
+    for k, cfg in ((0, CubeConfig(2, ())), (1, witness(graphs.point(2)))):
+        family = family_members("ke", 2, k)
+        assert brute_force_realizes_below(cfg, family[0], family) is True
+        assert brute_force_realizes_below(cfg, family[0], []) is False
+
+
+def _names_read(code) -> set[str]:
+    """Every global and attribute name a code object reads, nested code too."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_read(const)
+    return names
+
+
+def test_brute_force_shares_no_logic_with_the_closed_form():
+    # the union test's brute force must stay an independent check of
+    # realizes_below: it may not read the closed form or its grid helpers
+    forbidden = {"less_table", "realizes_below_table", "realizes_below",
+                 "realizes", "_separated"}
+    for fn in (brute_force_realizes_below, cubes._edge_slots):
+        assert not _names_read(fn.__code__) & forbidden, fn.__name__
 
 
 def grid_configs():

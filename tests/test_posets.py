@@ -12,7 +12,7 @@ from boxops.contractibility import (
     check_homotopy_initial,
     object_poset,
 )
-from boxops.errors import IntegrityError
+from boxops.errors import DimensionError, IntegrityError
 from boxops.graphs import from_key, is_morphism
 from boxops.homology import reduced_homology
 from boxops.posets import (
@@ -279,6 +279,14 @@ def test_object_poset_equals_oracle_on_random_subsets():
             assert got.up == want.up
             # read from the index's below rows, not transposed from up
             assert got.down_rows() == want.down_rows()
+
+
+def test_object_poset_rejects_mixed_shapes():
+    ke23, ke33 = family_members("ke", 2, 3), family_members("ke", 3, 3)
+    ke24 = family_members("ke", 2, 4)
+    for mixed in (ke23[:5] + ke33[:1], ke24[:1] + ke23[:5], ke23[:1] + ke24[-1:]):
+        with pytest.raises(DimensionError, match="family has shape"):
+            object_poset(mixed)
 
 
 def test_sub_equals_ambient_gives_cones():
