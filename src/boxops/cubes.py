@@ -36,7 +36,8 @@ class AffineEmbedding:
     b: Fraction
 
     def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
+        a = self.a if type(self.a) is Fraction else Fraction(self.a)
+        b = self.b if type(self.b) is Fraction else Fraction(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not (0 <= a < b <= 1):

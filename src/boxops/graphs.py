@@ -5,11 +5,13 @@ label in {1,...,n} and a direction.  This module provides the partial order
 of such objects, membership tests for the acyclicity/decomposability
 families, the box and gamma products, the symmetric group action,
 restriction along injections, label duality and key-ordered enumeration.
+Topological orders and monochromatic cycles come from one sort on
+predecessor masks; _add_arc, one step on reach rows, is the one
+reachability test.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -230,44 +232,9 @@ MDOWN = Family("mdown")
 def find_monochromatic_cycle(mu: GraphObject) -> list[int] | None:
     """A directed cycle using arcs of one label, as a vertex list, or None."""
     for label in range(1, mu.n + 1):
-        arcs = mu.arcs(label)
-        adj: list[list[int]] = [[] for _ in range(mu.k)]
-        for a, b in arcs:
-            adj[a].append(b)
-        state = [0] * mu.k
-        parent: dict[int, int] = {}
-
-        def walk(root: int) -> list[int] | None:
-            stack = [(root, 0)]
-            state[root] = 1
-            while stack:
-                u, i = stack[-1]
-                if i < len(adj[u]):
-                    stack[-1] = (u, i + 1)
-                    v = adj[u][i]
-                    if state[v] == 1:
-                        cyc = [v, u]
-                        w = u
-                        while w != v:
-                            w = parent[w]
-                            cyc.append(w)
-                        cyc.pop()
-                        cyc.reverse()
-                        return cyc
-                    if state[v] == 0:
-                        state[v] = 1
-                        parent[v] = u
-                        stack.append((v, 0))
-                else:
-                    state[u] = 2
-                    stack.pop()
-            return None
-
-        for root in range(mu.k):
-            if state[root] == 0:
-                cyc = walk(root)
-                if cyc is not None:
-                    return cyc
+        cycle = _order_or_cycle(mu.k, mu.arcs(label))[1]
+        if cycle is not None:
+            return cycle
     return None
 
 
@@ -287,22 +254,40 @@ def linear_order(mu: GraphObject) -> tuple[int, ...]:
 def topological_order(k: int, arcs: Iterable[tuple[int, int]]) -> list[int] | None:
     """The topological order of arcs on 0..k-1 that always takes the least
     ready vertex next, or None when the arcs contain a cycle."""
-    indeg = [0] * k
-    out: list[list[int]] = [[] for _ in range(k)]
+    order, cycle = _order_or_cycle(k, arcs)
+    return None if cycle is not None else order
+
+
+def _order_or_cycle(k: int, arcs: Iterable) -> tuple[list[int], list[int] | None]:
+    """(order, None) as in topological_order, or (partial order, cycle).
+
+    pred[v] is the mask of v's tails.  When no vertex left is ready, each
+    has a tail left, so walking from tail to tail repeats a vertex; the
+    walk from it back to itself, reversed, is a directed cycle.
+    """
+    pred = [0] * k
     for a, b in arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    ready = [v for v in range(k) if indeg[v] == 0]
-    heapq.heapify(ready)
+        pred[b] |= 1 << a
+    left = (1 << k) - 1
     order = []
-    while ready:
-        v = heapq.heappop(ready)
+    while left:
+        rest = left
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            if not pred[v] & left:
+                break
+            rest ^= b
+        else:
+            walk: list[int] = []
+            while v not in walk:
+                walk.append(v)
+                tails = pred[v] & left
+                v = (tails & -tails).bit_length() - 1
+            return order, walk[walk.index(v):][::-1]
         order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order if len(order) == k else None
+        left ^= b
+    return order, None
 
 
 class _IntervalChecker:
@@ -575,6 +560,17 @@ def top_decomposition(mu: GraphObject, i: int = 1) -> tuple[tuple[int, ...], ...
 # Enumeration
 
 
+def _add_arc(reach: list[int], tail: int, head: int) -> list[int] | None:
+    """Reach rows after adding the arc tail -> head, or None if it closes a
+    cycle.  reach[v] is the mask of the vertices reachable from v, v
+    included; the rows given are left as they are."""
+    if reach[head] >> tail & 1:
+        return None
+    gained = reach[head]
+    bit = 1 << tail
+    return [row | gained if row & bit else row for row in reach]
+
+
 def guard_bits(n: int, k: int, max_bits: int) -> None:
     need = (k * (k - 1) // 2) * code_bits(n)
     if need > max_bits:
@@ -619,16 +615,6 @@ def enumerate_family(
     reach = [[1 << v for v in range(k)] for _ in range(nlabels)]
     codes: list[int] = []
 
-    def add_arc(rv: list[int], tail: int, head: int) -> list[int] | None:
-        if rv[head] & (1 << tail):
-            return None  # would close a cycle
-        out = list(rv)
-        gained = out[head]
-        for v in range(k):
-            if out[v] & (1 << tail):
-                out[v] |= gained
-        return out
-
     def emit(obj: GraphObject) -> Iterator[GraphObject]:
         if post is None or in_family(obj, post):
             yield obj
@@ -642,7 +628,7 @@ def enumerate_family(
             label = (c >> 1) + 1
             tail, head = (x, y) if c & 1 else (y, x)
             slot = label if per_label else 0
-            updated = add_arc(reach[slot], tail, head)
+            updated = _add_arc(reach[slot], tail, head)
             if updated is None:
                 continue
             saved = reach[slot]

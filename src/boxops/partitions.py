@@ -6,6 +6,8 @@ admissible ordered partitions are those placing every arc's tail in an
 earlier block than its head.  Everything downstream (the refinement order,
 the compatibility relation, the wedge/least-element machinery and the
 collapse of the compatibility complex) is computed from the context alone.
+Arc sets are folded with graphs._add_arc (_reach); the refinement and
+compatibility rows are ANDs of one column table (_order_rows).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 from .bits import iter_bits
 from .complexes import CollapseTrace, SimplicialComplex
 from .errors import FalsificationError, IntegrityError
-from .graphs import GraphObject, topological_order
+from .graphs import GraphObject, _add_arc
 from .posets import Poset
 
 
@@ -73,12 +75,15 @@ class OrderedPartition:
         return "-".join(str(d) for d in self.alpha)
 
 
-def _check_acyclic(k: int, arcs: frozenset[tuple[int, int]]):
+def _reach(k: int, arcs: Iterable[tuple[int, int]]) -> list[int] | None:
+    """reach[v], the mask of the vertices reachable from v (v included),
+    folded arc by arc with graphs._add_arc; None when the arcs hold a cycle."""
+    reach: list[int] | None = [1 << v for v in range(k)]
     for a, b in arcs:
-        if not (0 <= a < k and 0 <= b < k) or a == b:
-            raise ValueError(f"bad arc {(a, b)} for k={k}")
-    if topological_order(k, arcs) is None:
-        raise IntegrityError("constraint arcs contain a cycle")
+        reach = _add_arc(reach, a, b)
+        if reach is None:
+            return None
+    return reach
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,11 @@ class ArcContext:
     one_arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        _check_acyclic(self.k, self.one_arcs)
+        for a, b in self.one_arcs:
+            if not (0 <= a < self.k and 0 <= b < self.k) or a == b:
+                raise ValueError(f"bad arc {(a, b)} for k={self.k}")
+        if _reach(self.k, self.one_arcs) is None:
+            raise IntegrityError("constraint arcs contain a cycle")
 
     @classmethod
     def from_arcs(cls, k: int, arcs: Iterable[tuple[int, int]]) -> "ArcContext":
@@ -110,28 +119,10 @@ class ArcContext:
         return _partitions(self.k, self.closure())
 
     def poset(self) -> Poset:
-        """The admissible partitions under the block-refinement order.
-
-        le_partition(v, w) holds iff every pair (x, y) that v orders weakly,
-        alpha_v[x] <= alpha_v[y], w orders weakly too.  So row v is the AND,
-        over the pairs v orders weakly, of the mask of partitions ordering
-        that pair weakly.
-        """
+        """The admissible partitions under the block-refinement order:
+        le_partition(v, w) iff w orders weakly every pair v orders weakly."""
         alphas = tuple(v.alpha for v in self.partitions())
-        pairs = [(x, y) for x in range(self.k) for y in range(self.k) if x != y]
-        weakly = [0] * len(pairs)
-        for j, a in enumerate(alphas):
-            for p, (x, y) in enumerate(pairs):
-                if a[x] <= a[y]:
-                    weakly[p] |= 1 << j
-        rows = []
-        for a in alphas:
-            row = (1 << len(alphas)) - 1
-            for p, (x, y) in enumerate(pairs):
-                if a[x] <= a[y]:
-                    row &= weakly[p]
-            rows.append(row)
-        return Poset(alphas, rows, validate=True)
+        return Poset(alphas, _order_rows(self.k, alphas, strictly=False), validate=True)
 
     def compatibility_masks(self) -> tuple[int, ...]:
         return _compatibility_masks(self.k, self.closure())
@@ -149,20 +140,8 @@ class ArcContext:
 
 @lru_cache(maxsize=4096)
 def _closure(k: int, arcs: frozenset) -> frozenset:
-    reach = {v: set() for v in range(k)}
-    for a, b in arcs:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(k):
-            extra = set()
-            for w in reach[v]:
-                extra |= reach[w] - reach[v]
-            if extra:
-                reach[v] |= extra
-                changed = True
-    return frozenset((a, b) for a in range(k) for b in reach[a])
+    reach = _reach(k, arcs)
+    return frozenset((a, b) for a in range(k) for b in iter_bits(reach[a] & ~(1 << a)))
 
 
 @lru_cache(maxsize=1024)
@@ -181,15 +160,32 @@ def _partitions(k: int, closed_arcs: frozenset) -> tuple[OrderedPartition, ...]:
 
 @lru_cache(maxsize=1024)
 def _compatibility_masks(k: int, closed_arcs: frozenset) -> tuple[int, ...]:
-    parts = _partitions(k, closed_arcs)
-    n = len(parts)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if compatible(parts[i], parts[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return tuple(masks)
+    """Row v: the partitions compatible with v, v itself left out."""
+    alphas = [v.alpha for v in _partitions(k, closed_arcs)]
+    rows = _order_rows(k, alphas, strictly=True)
+    return tuple(row & ~(1 << i) for i, row in enumerate(rows))
+
+
+def _order_rows(k: int, alphas: Sequence[tuple[int, ...]], strictly: bool) -> list[int]:
+    """Row v: the words w that order weakly every pair (x, y) that v orders
+    weakly, le_partition(v, w), or with strictly=True every pair that v
+    orders strictly, compatible(v, w).  weakly[p] is the column of the
+    words with a[x] <= a[y] at pair p."""
+    pairs = [(x, y) for x in range(k) for y in range(k) if x != y]
+    weakly = [0] * len(pairs)
+    for j, a in enumerate(alphas):
+        bit = 1 << j
+        for p, (x, y) in enumerate(pairs):
+            if a[x] <= a[y]:
+                weakly[p] |= bit
+    rows = []
+    for a in alphas:
+        row = (1 << len(alphas)) - 1
+        for p, (x, y) in enumerate(pairs):
+            if a[x] < a[y] or (a[x] == a[y] and not strictly):
+                row &= weakly[p]
+        rows.append(row)
+    return rows
 
 
 def all_contexts(k: int) -> tuple[ArcContext, ...]:
@@ -200,17 +196,14 @@ def all_contexts(k: int) -> tuple[ArcContext, ...]:
     """
     pairs = [(x, y) for x in range(k) for y in range(x + 1, k)]
     out = []
-    for states in product((0, 1, 2), repeat=len(pairs)):
-        arcs = set()
-        for (x, y), s in zip(pairs, states):
-            if s == 1:
-                arcs.add((x, y))
-            elif s == 2:
-                arcs.add((y, x))
-        fr = frozenset(arcs)
-        # closing a cycle would add (a, a), so every closed set is acyclic
-        if _closure(k, fr) == fr:
-            out.append(ArcContext(k, fr))
+    for states in product((None, False, True), repeat=len(pairs)):
+        arcs = [(x, y) if fwd else (y, x)
+                for (x, y), fwd in zip(pairs, states) if fwd is not None]
+        reach = _reach(k, arcs)
+        # the closure holds the arcs and one pair per bit of a reach row
+        # beyond the vertex itself, so equal counts mean the arcs are closed
+        if reach is not None and sum(map(int.bit_count, reach)) - k == len(arcs):
+            out.append(ArcContext(k, frozenset(arcs)))
     out.sort(key=lambda c: tuple(sorted(c.one_arcs)))
     return tuple(out)
 
@@ -626,22 +619,6 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
     )
 
 
-def _present_simplices(st: _DriverState) -> list[int]:
-    """All present simplices (cliques minus removed), for paranoid checks."""
-    out = []
-
-    def grow(mask: int, cand: int, mn: int):
-        bits = cand & ~((1 << mn) - 1)
-        for i in iter_bits(bits):
-            new = mask | (1 << i)
-            if new not in st.removed:
-                out.append(new)
-            grow(new, cand & st.adj[i], i + 1)
-
-    grow(0, (1 << st.n) - 1, 0)
-    return out
-
-
 def _validate_good_subcomplex(st: _DriverState):
     """Exhaustive good-subcomplex validation (paranoid mode).
 
@@ -649,7 +626,8 @@ def _validate_good_subcomplex(st: _DriverState):
     closure under adjoining minimal compatible elements strictly below a
     simplex.
     """
-    present = set(_present_simplices(st))
+    flag = SimplicialComplex.flag(st.words, st.adj, dim_cap=st.n)
+    present = flag.materialize() - st.removed
     for mask in present:
         for i in iter_bits(mask):
             sub = mask & ~(1 << i)

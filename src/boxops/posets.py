@@ -1,7 +1,8 @@
 """Finite posets over opaque sortable keys, with bitset comparability rows.
 
-Provides induced sub-posets, under/over posets, products, opposites, a
-deterministic beat-point dismantler and an order-isomorphism search.
+Provides induced sub-posets, products, opposites, a deterministic
+beat-point dismantler and an order-isomorphism search.  The poset under or
+over an element is the sub-poset on its up or down row.
 """
 
 from __future__ import annotations
@@ -138,28 +139,6 @@ class Poset:
                     row |= 1 << pos[j]
             rows.append(row)
         return Poset(elements, rows, validate=False)
-
-    def under(self, b, within: Iterable | None = None) -> "Poset":
-        """Induced poset on {a : b <= a}, optionally intersected with a subset."""
-        bi = self.index[b]
-        allowed = None if within is None else set(within)
-        keys = [
-            self.elements[j]
-            for j in range(len(self.elements))
-            if self.le_idx(bi, j) and (allowed is None or self.elements[j] in allowed)
-        ]
-        return self.subposet(keys)
-
-    def over(self, b, within: Iterable | None = None) -> "Poset":
-        """Induced poset on {a : a <= b}, optionally intersected with a subset."""
-        bi = self.index[b]
-        allowed = None if within is None else set(within)
-        keys = [
-            self.elements[j]
-            for j in range(len(self.elements))
-            if self.le_idx(j, bi) and (allowed is None or self.elements[j] in allowed)
-        ]
-        return self.subposet(keys)
 
     def opposite(self) -> "Poset":
         return Poset(self.elements, self.down_rows(), validate=False)
@@ -300,16 +279,6 @@ def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:
         else:
             raise IntegrityError(f"unknown dismantle direction {direction!r}")
         alive &= ~(1 << i)
-
-
-def under_poset(ambient: Poset, sub: Iterable, b) -> Poset:
-    """Induced poset on {a in sub : b <= a}."""
-    return ambient.under(b, within=sub)
-
-
-def over_poset(ambient: Poset, sub: Iterable, b) -> Poset:
-    """Induced poset on {a in sub : a <= b}."""
-    return ambient.over(b, within=sub)
 
 
 def poset_product(factors: Sequence[Poset]) -> Poset:

@@ -9,7 +9,7 @@ that the fast implementations are then held to.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def decode(obj):
@@ -45,6 +45,28 @@ def generic_cycle_search(k, arcs):
         return False
 
     return any(color[v] == 0 and visit(v) for v in range(k))
+
+
+def naive_closure(k, arcs):
+    """The transitive closure of arcs on 0..k-1, adding (a, c) for every
+    (a, b), (b, c) until nothing changes."""
+    closed = set(arcs)
+    while True:
+        extra = {(a, c) for a, b in closed for b2, c in closed if b == b2} - closed
+        if not extra:
+            return frozenset(closed)
+        closed |= extra
+
+
+def oracle_topological_order(k, arcs):
+    """The lexicographically least permutation of 0..k-1 that puts every
+    arc's tail before its head, as a list, or None when there is none."""
+    arcs = list(arcs)
+    for perm in permutations(range(k)):
+        pos = {v: i for i, v in enumerate(perm)}
+        if all(pos[a] < pos[b] for a, b in arcs):
+            return list(perm)
+    return None
 
 
 def oracle_in_ke(obj):
@@ -307,6 +329,17 @@ def oracle_refinement_poset(ctx):
     return Poset.from_leq(
         tuple(v.alpha for v in ctx.partitions()),
         lambda a, b: le_partition(OrderedPartition(a), OrderedPartition(b)),
+    )
+
+
+def oracle_compatibility_masks(ctx):
+    """Row i: the partitions j != i of the context with compatible(i, j)."""
+    from boxops.partitions import compatible
+
+    parts = ctx.partitions()
+    return tuple(
+        sum(1 << j for j, w in enumerate(parts) if j != i and compatible(v, w))
+        for i, v in enumerate(parts)
     )
 
 

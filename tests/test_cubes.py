@@ -34,7 +34,7 @@ from boxops.graphs import from_arcs, is_morphism
 from boxops.textform import from_box_expr
 
 from conftest import family_members
-from oracles import oracle_realizes, oracle_union_below
+from oracles import generic_cycle_search, oracle_realizes, oracle_union_below
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
@@ -97,6 +97,14 @@ def test_witness_two_elements():
     assert realizes(cfg, mu)
 
 
+def test_affine_embedding_keeps_fraction_endpoints():
+    a, b = Fraction(1, 3), Fraction(1, 2)
+    e = AffineEmbedding(a, b)
+    assert e.a is a and e.b is b
+    e = AffineEmbedding(0, "1/2")
+    assert type(e.a) is Fraction and (e.a, e.b) == (0, Fraction(1, 2))
+
+
 def test_witness_single_cube_is_identity():
     cfg = witness(graphs.point(3))
     for f in cfg.cubes[0].coords:
@@ -113,6 +121,17 @@ def test_witness_or_cycle_exhaustive_g23():
         else:
             assert kind == "cycle"
             assert verify_cycle_certificate(mu, payload)
+
+
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 3)])
+def test_cycle_certificate_exactly_when_generic_search_finds_one(n, k):
+    cycles = 0
+    for mu in family_members("g", n, k):
+        kind, payload = realization_certificate(mu)
+        cyclic = any(generic_cycle_search(k, mu.arcs(label)) for label in range(1, n + 1))
+        assert (kind == "cycle" and verify_cycle_certificate(mu, payload)) == cyclic
+        cycles += cyclic
+    assert cycles > 0
 
 
 def test_witness_refusal_names_cycle():

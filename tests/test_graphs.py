@@ -30,11 +30,18 @@ from boxops.graphs import (
     shift_labels,
     sigma_action,
     top_decomposition,
+    topological_order,
 )
 from boxops.textform import from_box_expr
 
 from conftest import family_members
-from oracles import ORACLES, brute_force_family, decode, generic_cycle_search
+from oracles import (
+    ORACLES,
+    brute_force_family,
+    decode,
+    generic_cycle_search,
+    oracle_topological_order,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "family_counts.json").read_text())
 
@@ -204,6 +211,18 @@ def test_linear_order_equals_generic_cycle_search():
             order = linear_order(obj)
             assert sorted(order) == list(range(k))
             assert all(arrow[pair] for pair in combinations(order, 2)), obj.key
+
+
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 3)])
+def test_topological_order_is_the_least_respecting_permutation(n, k):
+    want = {}
+    for obj in family_members("g", n, k):
+        for label in range(1, n + 1):
+            arcs = tuple(obj.arcs(label))
+            if arcs not in want:
+                want[arcs] = oracle_topological_order(k, arcs)
+            assert topological_order(k, arcs) == want[arcs], (obj.key, label)
+    assert None in want.values()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from boxops.partitions import (
 )
 from boxops.textform import from_box_expr
 
-from oracles import generic_cycle_search, oracle_refinement_poset
+from oracles import (
+    generic_cycle_search,
+    naive_closure,
+    oracle_compatibility_masks,
+    oracle_refinement_poset,
+)
 
 
 def part(*blocks):
@@ -86,33 +91,75 @@ def test_context_from_graph_object():
 
 
 def test_all_contexts_counts():
-    # strict partial orders on a labeled set: 1, 3, 19, 219
+    # strict partial orders on a labeled set: 1, 1, 3, 19, 219, 4231
+    assert len(all_contexts(0)) == 1
     assert len(all_contexts(1)) == 1
     assert len(all_contexts(2)) == 3
     assert len(all_contexts(3)) == 19
     assert len(all_contexts(4)) == 219
+    assert len(all_contexts(5)) == 4231
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_all_contexts_are_the_closures_of_the_acyclic_arc_sets(k):
+    pairs = [(x, y) for x in range(k) for y in range(k) if x != y]
+    closures = set()
+    for r in range(len(pairs) + 1):
+        for arcs in combinations(pairs, r):
+            if not generic_cycle_search(k, arcs):
+                closures.add(tuple(sorted(naive_closure(k, arcs))))
+    got = [tuple(sorted(ctx.one_arcs)) for ctx in all_contexts(k)]
+    assert got == sorted(closures)
+    assert all(ctx.closure() == ctx.one_arcs for ctx in all_contexts(k))
 
 
 def test_enumerate_matches_over_poset_identification():
     # the admissible-partition poset is the over-poset of the decreasing
     # decomposables at obj, for every obj at small scale
     from boxops.contractibility import object_poset
-    from boxops.posets import over_poset, poset_isomorphic
+    from boxops.posets import poset_isomorphic
 
-    from conftest import family_members
+    from conftest import family_members, row_subposet
 
     ambient = list(family_members("ke", 2, 3))
-    sub = [o.key for o in family_members("mdown", 2, 3)]
+    sub = {o.key for o in family_members("mdown", 2, 3)}
     big = object_poset(ambient)
+    down = big.down_rows()
     for obj in ambient:
         ctx = ArcContext.from_graph_object(obj)
         left = ctx.poset()
-        right = over_poset(big, sub, obj.key)
+        right = row_subposet(big, down[big.index[obj.key]], within=sub)
         assert poset_isomorphic(left, right) is not None
 
 
 # ---------------------------------------------------------------------------
 # compatibility
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_compatibility_rows_equal_pairwise_oracle(k):
+    for ctx in all_contexts(k):
+        assert ctx.compatibility_masks() == oracle_compatibility_masks(ctx)
+
+
+def test_compatibility_rows_equal_pairwise_oracle_free_k5():
+    ctx = ctx_free(5)
+    assert len(ctx.partitions()) == 541
+    assert ctx.compatibility_masks() == oracle_compatibility_masks(ctx)
+
+
+def test_compatibility_rows_never_call_compatible():
+    # the rows come from the weakly-ordered columns alone; compatible stays
+    # the definition they are held to
+    def names(code):
+        out = set(code.co_names)
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                out |= names(const)
+        return out
+
+    for fn in (partitions._compatibility_masks.__wrapped__, partitions._order_rows):
+        assert not names(fn.__code__) & {"compatible", "compatible_blocks"}
 
 
 def test_cap_reflexive_and_crossing():

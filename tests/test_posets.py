@@ -17,15 +17,13 @@ from boxops.graphs import from_key, is_morphism
 from boxops.homology import reduced_homology
 from boxops.posets import (
     Poset,
-    over_poset,
     poset_isomorphic,
     poset_product,
     replay_dismantle,
-    under_poset,
 )
 from boxops.textform import from_box_expr
 
-from conftest import family_members
+from conftest import family_members, row_subposet
 from oracles import (
     oracle_candidate_isomorphism,
     oracle_dismantle,
@@ -70,13 +68,13 @@ def test_minimum_maximum():
 
 def test_under_over_posets():
     c = chain(5)
-    up = under_poset(c, c.elements, 2)
+    up = row_subposet(c, c.up[2])
     assert set(up.elements) == {2, 3, 4}
     assert up.minimum() == 2  # cone point
-    down = over_poset(c, c.elements, 2)
+    down = row_subposet(c, c.down_rows()[2])
     assert set(down.elements) == {0, 1, 2}
     assert down.maximum() == 2
-    restricted = under_poset(c, (0, 1, 4), 2)
+    restricted = row_subposet(c, c.up[2], within=(0, 1, 4))
     assert set(restricted.elements) == {4}
 
 
@@ -84,7 +82,7 @@ def test_under_poset_b_in_sub_is_cone():
     objs = list(family_members("ke", 2, 3))
     poset = object_poset(objs)
     b = objs[7].key
-    up = under_poset(poset, poset.elements, b)
+    up = row_subposet(poset, poset.up[poset.index[b]])
     assert up.minimum() == b
 
 
@@ -96,7 +94,7 @@ def test_under_poset_all_label_2_triangle():
     poset = object_poset(ambient)
     b = from_box_expr("1[]2 2[]2 3", 2)
     assert b.key in sub
-    up = under_poset(poset, sub, b.key)
+    up = row_subposet(poset, poset.up[poset.index[b.key]], within=sub)
     assert up.elements == (b.key,)
     assert certify_contractible(up).contractible()
 
@@ -302,7 +300,7 @@ def test_cone_shortcut_agrees_with_collapse():
     poset = object_poset(objs)
     checked = 0
     for b in objs[:10]:
-        cone = under_poset(poset, poset.elements, b.key)  # b is its own minimum
+        cone = row_subposet(poset, poset.up[poset.index[b.key]])  # b is its own minimum
         assert cone.minimum() == b.key
         trace = greedy_collapse(cone.order_complex())
         assert trace.collapsed_to_point
