@@ -73,17 +73,9 @@ def trace_to_json(ctx: ArcContext, result) -> str:
     """
     trace = result.trace
     quoted = [json.dumps("".join(map(str, a))) for a in trace.vertices]
-
-    def name_list(mask: int) -> str:
-        out = []
-        while mask:
-            b = mask & -mask
-            out.append(quoted[b.bit_length() - 1])
-            mask ^= b
-        # a closing quote sorts below every digit, so quoted words sort as
-        # the words do
-        out.sort()
-        return "[" + ", ".join(out) + "]"
+    # a closing quote sorts below every digit, so quoted words sort as the
+    # words do, unless a letter has two digits
+    in_order = quoted == sorted(quoted)
 
     head = json.dumps(
         {
@@ -102,15 +94,27 @@ def trace_to_json(ctx: ArcContext, result) -> str:
     pieces = [head[: -len("]}")]]
     sep = ""
     for i, (face, simplex) in enumerate(trace.steps):
-        extra = simplex & ~face
-        least = (
-            quoted[(extra & -extra).bit_length() - 1]
-            if simplex.bit_count() - face.bit_count() == 1
-            else "null"
-        )
+        # one pass over the step's bits gives both name lists and the first
+        # vertex of simplex outside face
+        face_names, simplex_names, extra = [], [], None
+        rest = face | simplex
+        while rest:
+            b = rest & -rest
+            name = quoted[b.bit_length() - 1]
+            if face & b:
+                face_names.append(name)
+            if simplex & b:
+                simplex_names.append(name)
+                if extra is None and not face & b:
+                    extra = name
+            rest ^= b
+        if not in_order:
+            face_names.sort()
+            simplex_names.sort()
+        least = extra if simplex.bit_count() - face.bit_count() == 1 else "null"
         pieces.append(
-            f'{sep}{{"least": {least}, "removed_face": {name_list(face)}, '
-            f'"simplex": {name_list(simplex)}, "step": {i}}}'
+            f'{sep}{{"least": {least}, "removed_face": [{", ".join(face_names)}], '
+            f'"simplex": [{", ".join(simplex_names)}], "step": {i}}}'
         )
         sep = ", "
     pieces.append("]}\n")

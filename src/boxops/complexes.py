@@ -91,12 +91,29 @@ class SimplicialComplex:
     def materialize(self) -> frozenset[int]:
         """All simplices as masks.  Flag complexes enumerate their cliques;
         a clique above the dimension cap raises instead of truncating."""
-        if self._simplices is not None:
-            return self._simplices
+        if self._simplices is None:
+            object.__setattr__(self, "_simplices", frozenset(self._clique_counts()))
+        return self._simplices
+
+    def coface_counts(self) -> dict[int, int]:
+        """A fresh table of every simplex's number of cofacets.  A flag
+        complex takes it from its clique enumeration, without materializing;
+        an explicit one counts over its simplex family."""
+        if self.adjacency is None:
+            return _coface_counts(self._simplices)
+        return self._clique_counts()
+
+    def _clique_counts(self) -> dict[int, int]:
+        """The one clique enumerator: each clique of the flag complex mapped
+        to its number of cofacets, the vertices adjacent to all of its own.
+
+        `cand` is the common neighbourhood of `mask`; a clique is grown only
+        by vertices above its highest one, so each is reached once.  A clique
+        above the dimension cap raises CapExceededError.
+        """
         adj = self.adjacency
         cap_size = self.dim_cap + 1
-        out: set[int] = set()
-        m = len(self.vertices)
+        out: dict[int, int] = {}
 
         def grow(mask: int, size: int, cand: int, min_next: int):
             bits = cand >> min_next << min_next
@@ -109,13 +126,14 @@ class SimplicialComplex:
                 b = bits & -bits
                 i = b.bit_length() - 1
                 new = mask | b
-                out.add(new)
-                grow(new, size + 1, cand & adj[i], i + 1)
+                common = cand & adj[i]
+                out[new] = common.bit_count()
+                if common >> (i + 1):
+                    grow(new, size + 1, common, i + 1)
                 bits ^= b
 
-        grow(0, 0, (1 << m) - 1, 0)
-        object.__setattr__(self, "_simplices", frozenset(out))
-        return self._simplices
+        grow(0, 0, (1 << len(self.vertices)) - 1, 0)
+        return out
 
     def simplex_count(self) -> int:
         return len(self.materialize())
@@ -294,12 +312,12 @@ def replay_trace(complex_: SimplicialComplex, trace: CollapseTrace) -> None:
 
     Raises IntegrityError on the first illegal step or on a terminal
     mismatch.  This checker is independent of whatever engine produced the
-    trace: it decides freeness from coface counts of the materialized
-    complex alone.
+    trace: it decides freeness from the complex's own coface counts alone,
+    which a flag complex takes from its adjacency.
     """
     if tuple(trace.vertices) != complex_.vertices:
         raise IntegrityError("trace vertices differ from the complex's")
-    counts = _coface_counts(complex_.materialize())
+    counts = complex_.coface_counts()
     for stepno, (face, cof) in enumerate(trace.steps):
         if face not in counts or cof not in counts:
             raise IntegrityError(f"step {stepno}: simplex already removed")

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .bits import iter_bits
-from .complexes import CollapseTrace, SimplicialComplex
+from .complexes import CollapseTrace, SimplicialComplex, _coface_counts
 from .errors import FalsificationError, IntegrityError
 from .graphs import GraphObject, _add_arc
 from .posets import Poset
@@ -144,18 +144,31 @@ def _closure(k: int, arcs: frozenset) -> frozenset:
     return frozenset((a, b) for a in range(k) for b in iter_bits(reach[a] & ~(1 << a)))
 
 
+@lru_cache(maxsize=None)
+def _partition_table(k: int) -> tuple[tuple[OrderedPartition, int], ...]:
+    """Every ordered partition of 0..k-1 in word order, with its strict-pair
+    mask: bit x * k + y is set when the word puts x in an earlier block than
+    y.  A constant table per k, like graphs.edge_pairs."""
+    out = []
+    # at k = 0 the one word is the empty one
+    for alpha in product(range(1, k + 1), repeat=k):
+        if len(set(alpha)) == max(alpha, default=0):
+            strict = 0
+            for x, a in enumerate(alpha):
+                for y, b in enumerate(alpha):
+                    if a < b:
+                        strict |= 1 << (x * k + y)
+            out.append((OrderedPartition(alpha), strict))
+    return tuple(out)
+
+
 @lru_cache(maxsize=1024)
 def _partitions(k: int, closed_arcs: frozenset) -> tuple[OrderedPartition, ...]:
-    out = []
-    # p = 0 yields only the empty word, the one ordered partition at k = 0
-    for p in range(k + 1):
-        for alpha in product(range(1, p + 1), repeat=k):
-            if len(set(alpha)) != p:
-                continue
-            if all(alpha[a] < alpha[b] for a, b in closed_arcs):
-                out.append(OrderedPartition(alpha))
-    out.sort(key=lambda v: v.alpha)
-    return tuple(out)
+    """The words of the partition table that order every arc strictly."""
+    need = 0
+    for a, b in closed_arcs:
+        need |= 1 << (a * k + b)
+    return tuple(v for v, strict in _partition_table(k) if strict & need == need)
 
 
 @lru_cache(maxsize=1024)
@@ -437,7 +450,15 @@ def _down_rows(words: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
 
 class _DriverState:
     """Mutable collapse state over a fixed context; simplices are masks
-    over the partitions in context order."""
+    over the partitions in context order.
+
+    `count` maps every simplex touched so far to its number of present
+    cofacets, or to -1 once it is removed.  A simplex starts, at its first
+    touch, with every cofacet of the flag complex present: each removal
+    touches the removed simplex's facets, so no cofacet of an untouched
+    simplex is gone.  `heap` holds exactly the present maximal simplices,
+    each as (preorder key, mask, least vertex).
+    """
 
     def __init__(self, ctx: ArcContext):
         self.parts = ctx.partitions()
@@ -448,10 +469,9 @@ class _DriverState:
         self.n = len(self.parts)
         self.full = (1 << self.n) - 1
         self.down = _down_rows(self.words, ctx.k)
-        self.removed: set[int] = set()
+        self.count: dict[int, int] = {}
         self.u0 = ctx.least()
         self.u0_idx = self.words.index(self.u0.alpha)
-        self.maximal: dict[int, int] = {}
         self.heap: list = []
         for mask in _maximal_cliques(self.adj, self.n):
             self._add_maximal(mask)
@@ -481,7 +501,6 @@ class _DriverState:
 
     def _add_maximal(self, mask: int):
         li = self.least_vertex(mask)
-        self.maximal[mask] = li
         alpha = self.words[li]
         bits = []
         rest = mask
@@ -489,35 +508,25 @@ class _DriverState:
             b = rest & -rest
             bits.append(b.bit_length() - 1)
             rest ^= b
-        heapq.heappush(self.heap, (-sum(alpha), alpha, tuple(bits), mask))
+        # the bit tuple is unique, so the mask and li are never compared
+        heapq.heappush(self.heap, (-sum(alpha), alpha, tuple(bits), mask, li))
 
-    def present_coface_missing(self, mask: int, common: int) -> bool:
-        """True iff mask has no present coface (so it is maximal).
-
-        `common` is the AND of the adjacency rows of mask's vertices: the
-        vertices that extend mask to a coface.
-        """
-        removed = self.removed
-        while common:
-            b = common & -common
-            if (mask | b) not in removed:
-                return False
-            common ^= b
-        return True
-
-    def verify_free(self, face: int, cofacet: int, common: int):
-        """Raise unless every coface of face other than cofacet is removed;
-        `common` is as in present_coface_missing."""
-        removed = self.removed
+    def not_free(self, face: int, cofacet: int, common: int) -> FalsificationError:
+        """The error for a face whose count says it is not free, naming a
+        present coface other than cofacet, found by scanning `common`, the
+        vertices adjacent to all of face's; None when the scan finds none."""
+        other = None
         while common:
             b = common & -common
             up = face | b
-            if up != cofacet and up not in removed:
-                raise FalsificationError(
-                    "selected face is not free",
-                    {"face": self.word_list(face), "other_coface": self.word_list(up)},
-                )
+            if up != cofacet and self.count.get(up) != -1:
+                other = self.word_list(up)
+                break
             common ^= b
+        return FalsificationError(
+            "selected face is not free",
+            {"face": self.word_list(face), "other_coface": other},
+        )
 
 
 def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
@@ -529,39 +538,31 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
     steps are (face, cofacet) masks over the partitions in context order.
     """
     st = _DriverState(ctx)
-    adj, removed, maximal, heap, full = st.adj, st.removed, st.maximal, st.heap, st.full
+    adj, count, heap, full = st.adj, st.count, st.heap, st.full
     steps: list[tuple[int, int]] = []
 
     if paranoid:
         _validate_good_subcomplex(st)
 
     while True:
-        if len(maximal) == 1:
-            mask = next(iter(maximal))
-            if mask.bit_count() == 1:
-                vi = mask.bit_length() - 1
-                if vi != st.u0_idx:
-                    raise FalsificationError(
-                        "terminal vertex differs from the least element",
-                        {"terminal": st.parts[vi].word(), "least": st.u0.word()},
-                    )
-                break
-        V = None
-        while heap:
-            mask = heapq.heappop(heap)[3]
-            if mask in maximal:
-                V = mask
-                break
-        if V is None:
+        if len(heap) == 1 and heap[0][3].bit_count() == 1:
+            vi = heap[0][4]
+            if vi != st.u0_idx:
+                raise FalsificationError(
+                    "terminal vertex differs from the least element",
+                    {"terminal": st.parts[vi].word(), "least": st.u0.word()},
+                )
+            break
+        if not heap:
             raise FalsificationError(
                 "no collapsible simplex remains but the complex is not a point",
-                {"maximal": len(maximal)},
+                {"maximal": 0},
             )
-        v0 = maximal[V]
+        *_, V, v0 = heapq.heappop(heap)
         if V.bit_count() == 1:
             raise FalsificationError(
                 "singleton maximal simplex while other simplices remain",
-                {"vertex": st.parts[v0].word(), "maximal": len(maximal)},
+                {"vertex": st.parts[v0].word(), "maximal": len(heap) + 1},
             )
         F = V ^ (1 << v0)
         # rows of F's vertices; suffix[i] is the AND of rows[i:]
@@ -574,33 +575,32 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
         suffix = [full] * (len(rows) + 1)
         for i in range(len(rows) - 1, -1, -1):
             suffix[i] = suffix[i + 1] & rows[i][1]
-        st.verify_free(F, V, suffix[0])
-        removed.add(V)
-        removed.add(F)
-        del maximal[V]
+        # V is present, so F is free exactly when V is its one cofacet
+        if count.get(F, suffix[0].bit_count()) != 1:
+            raise st.not_free(F, V, suffix[0])
+        count[V] = count[F] = -1
         steps.append((F, V))
-        # the facets V - w and F - w for w in F; AND(rows of F - w) is
-        # prefix & suffix[i + 1]
+        # uncount V at its facets V - w and F at its facets F - w, for w in
+        # F; the cofacets of F - w are prefix & suffix[i + 1], and those of
+        # V - w the ones of them adjacent to v0
         row0 = adj[v0]
         prefix = full
         for i, (b, row) in enumerate(rows):
             common = prefix & suffix[i + 1]
             prefix &= row
             W = V ^ b
-            if (
-                W not in removed
-                and W not in maximal
-                and st.present_coface_missing(W, common & row0)
-            ):
+            c = count.get(W)
+            c = (common & row0).bit_count() - 1 if c is None else c - 1
+            count[W] = c
+            if not c:
                 st._add_maximal(W)
             W = F ^ b
-            if (
-                W
-                and W not in removed
-                and W not in maximal
-                and st.present_coface_missing(W, common)
-            ):
-                st._add_maximal(W)
+            if W:
+                c = count.get(W)
+                c = common.bit_count() - 1 if c is None else c - 1
+                count[W] = c
+                if not c:
+                    st._add_maximal(W)
         if paranoid:
             _validate_good_subcomplex(st)
 
@@ -622,12 +622,12 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
 def _validate_good_subcomplex(st: _DriverState):
     """Exhaustive good-subcomplex validation (paranoid mode).
 
-    Checks downward closure, least vertices of maximal simplices, and
-    closure under adjoining minimal compatible elements strictly below a
-    simplex.
+    Checks downward closure, the driver's coface counts against the present
+    complex, least vertices of maximal simplices, and closure under
+    adjoining minimal compatible elements strictly below a simplex.
     """
     flag = SimplicialComplex.flag(st.words, st.adj, dim_cap=st.n)
-    present = flag.materialize() - st.removed
+    present = flag.materialize() - {m for m, c in st.count.items() if c < 0}
     for mask in present:
         for i in iter_bits(mask):
             sub = mask & ~(1 << i)
@@ -636,6 +636,14 @@ def _validate_good_subcomplex(st: _DriverState):
                     "present simplex with a removed face",
                     {"simplex": st.word_list(mask)},
                 )
+    cofacets = _coface_counts(present)
+    for mask, c in st.count.items():
+        if c >= 0 and cofacets.get(mask) != c:
+            raise FalsificationError(
+                "coface count disagrees with the present complex",
+                {"simplex": st.word_list(mask), "count": c,
+                 "present_cofacets": cofacets.get(mask)},
+            )
     for mask in present:
         has_coface = any(
             (mask | (1 << y)) in present

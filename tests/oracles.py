@@ -321,6 +321,84 @@ def oracle_greedy_collapse(complex_):
     return tuple(steps), tuple(terminal)
 
 
+def oracle_partitions(k, closed_arcs):
+    """Every word over 1..p for p <= k, kept when it is onto 1..p and puts
+    every arc's tail in an earlier block than its head, in word order."""
+    from itertools import product
+
+    out = []
+    for p in range(k + 1):
+        for alpha in product(range(1, p + 1), repeat=k):
+            if len(set(alpha)) == p and all(alpha[a] < alpha[b] for a, b in closed_arcs):
+                out.append(alpha)
+    return sorted(out)
+
+
+def oracle_collapse_driver(ctx):
+    """The collapse driver on a set of removed simplices: a simplex is
+    maximal when every coface its vertices' common neighbours give is
+    removed, and a face is free when every coface but the chosen one is.
+    The least vertex of a maximal simplex is the definitional least_element.
+
+    Returns the steps (face, cofacet) as masks over the context's
+    partitions; raises AssertionError where the driver would raise.
+    """
+    import heapq
+
+    from boxops.partitions import _maximal_cliques, least_element
+
+    parts = ctx.partitions()
+    index = {v: i for i, v in enumerate(parts)}
+    adj = ctx.compatibility_masks()
+    full = (1 << len(parts)) - 1
+    removed = set()
+    maximal = {}
+    heap = []
+
+    def present_cofaces(mask, stop=None):
+        """The cofaces of mask that are not removed (mask plus one common
+        neighbour of its vertices), up to the first one that is not stop."""
+        common = full
+        for i in _bits(mask):
+            common &= adj[i]
+        out = []
+        while common:
+            b = common & -common
+            if mask | b not in removed:
+                out.append(mask | b)
+                if mask | b != stop:
+                    return out
+            common ^= b
+        return out
+
+    def add_maximal(mask):
+        verts = [parts[i] for i in _bits(mask)]
+        least = least_element(verts)
+        assert least in verts, "maximal simplex has no least vertex inside itself"
+        maximal[mask] = index[least]
+        heapq.heappush(heap, (-sum(least.alpha), least.alpha, tuple(_bits(mask)), mask))
+
+    for mask in _maximal_cliques(adj, len(parts)):
+        add_maximal(mask)
+    steps = []
+    while not (len(maximal) == 1 and next(iter(maximal)).bit_count() == 1):
+        V = heapq.heappop(heap)[3]
+        while V not in maximal:
+            V = heapq.heappop(heap)[3]
+        v0 = maximal.pop(V)
+        assert V.bit_count() > 1, "singleton maximal simplex while other simplices remain"
+        F = V ^ 1 << v0
+        assert present_cofaces(F, stop=V) == [V], "selected face is not free"
+        removed |= {V, F}
+        steps.append((F, V))
+        for w in _bits(F):
+            for W in (V ^ 1 << w, F ^ 1 << w):
+                if W and W not in removed and W not in maximal and not present_cofaces(W):
+                    add_maximal(W)
+    assert next(iter(maximal)) == 1 << index[ctx.least()], "terminal vertex differs"
+    return tuple(steps)
+
+
 def oracle_refinement_poset(ctx):
     """The admissible partitions of a context ordered by le_partition."""
     from boxops.partitions import OrderedPartition, le_partition

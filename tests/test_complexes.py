@@ -6,6 +6,7 @@ from boxops import contractibility
 from boxops.complexes import (
     CollapseTrace,
     SimplicialComplex,
+    _coface_counts,
     free_faces,
     greedy_collapse,
     replay_trace,
@@ -17,8 +18,9 @@ from boxops.contractibility import (
 )
 from boxops.errors import CapExceededError, IntegrityError
 from boxops.homology import reduced_homology, smith_diagonal
+from boxops.partitions import all_contexts
 
-from conftest import family_members
+from conftest import family_members, random_poset
 from oracles import oracle_greedy_collapse
 
 
@@ -61,6 +63,28 @@ def test_flag_materialize_cap():
     )
     with pytest.raises(CapExceededError):
         c.materialize()
+
+
+def test_coface_counts_equal_the_counts_over_the_materialized_family():
+    # every k <= 4 compatibility complex, then order complexes of seeded
+    # random posets under caps low enough that some enumerations refuse
+    complexes = [lambda ctx=ctx: ctx.flag_complex()
+                 for k in range(5) for ctx in all_contexts(k)]
+    rng = random.Random(1515)
+    for _ in range(200):
+        poset, cap = random_poset(rng, rng.randint(1, 14)), rng.randint(0, 6)
+        complexes.append(lambda poset=poset, cap=cap: poset.order_complex(dim_cap=cap))
+    refused = 0
+    for make in complexes:
+        try:
+            want = _coface_counts(make().materialize())
+        except CapExceededError:
+            refused += 1
+            with pytest.raises(CapExceededError):
+                make().coface_counts()
+            continue
+        assert make().coface_counts() == want
+    assert 20 < refused < 180
 
 
 def test_free_faces_of_full_simplex():

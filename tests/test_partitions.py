@@ -24,10 +24,13 @@ from boxops.partitions import (
 )
 from boxops.textform import from_box_expr
 
+from conftest import seeded_contexts
 from oracles import (
     generic_cycle_search,
     naive_closure,
+    oracle_collapse_driver,
     oracle_compatibility_masks,
+    oracle_partitions,
     oracle_refinement_poset,
 )
 
@@ -65,6 +68,15 @@ def test_unconstrained_two_elements():
 def test_partition_counts_fubini():
     assert len(ctx_free(3).partitions()) == 13
     assert len(ctx_free(4).partitions()) == 75
+
+
+def test_partitions_equal_the_product_enumeration():
+    contexts = [ctx for k in range(5) for ctx in all_contexts(k)]
+    contexts += seeded_contexts(5, 300, 15, max_partitions=541) + [ctx_free(5)]
+    for ctx in contexts:
+        want = oracle_partitions(ctx.k, ctx.closure())
+        assert [v.alpha for v in ctx.partitions()] == want
+    assert len(ctx_free(5).partitions()) == 541
 
 
 def test_context_rejects_cycles():
@@ -401,6 +413,69 @@ def test_driver_paranoid_mode_k3():
     for ctx in all_contexts(3)[:8]:
         res = collapse_driver(ctx, paranoid=True)
         assert res.terminal == ctx.least()
+
+
+def test_driver_equals_the_removed_set_oracle():
+    contexts = [ctx for k in range(5) for ctx in all_contexts(k)]
+    # the oracle's cost grows steeply with the partition count, so the 50
+    # k=5 contexts hold one 101-partition context and 49 of at most 63
+    contexts += seeded_contexts(5, 49, 15, max_partitions=63)
+    contexts += seeded_contexts(5, 1, 15, min_partitions=101)
+    for ctx in contexts:
+        assert collapse_driver(ctx).trace.steps == oracle_collapse_driver(ctx)
+
+
+def _state_and_facet(ctx):
+    """A fresh driver state and a facet of a largest maximal simplex."""
+    st = partitions._DriverState(ctx)
+    top = max(partitions._maximal_cliques(st.adj, st.n), key=int.bit_count)
+    return st, top ^ (top & -top)
+
+
+def test_paranoid_mode_sees_a_removed_face_under_a_present_simplex():
+    st, face = _state_and_facet(ctx_free(3))
+    partitions._validate_good_subcomplex(st)
+    st.count[face] = -1
+    with pytest.raises(FalsificationError, match="present simplex with a removed face"):
+        partitions._validate_good_subcomplex(st)
+
+
+def test_paranoid_mode_checks_every_count():
+    st, face = _state_and_facet(ctx_free(3))
+    st.count[face] = 1
+    partitions._validate_good_subcomplex(st)
+    st.count[face] = 2
+    with pytest.raises(FalsificationError, match="coface count disagrees") as err:
+        partitions._validate_good_subcomplex(st)
+    assert err.value.state["present_cofacets"] == 1
+
+
+def test_driver_refuses_a_face_whose_count_is_not_one(monkeypatch):
+    ctx = ctx_free(3)
+    face, cofacet = collapse_driver(ctx).trace.steps[0]
+
+    class Corrupted(partitions._DriverState):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.count[face] = 2
+
+    monkeypatch.setattr(partitions, "_DriverState", Corrupted)
+    with pytest.raises(FalsificationError, match="selected face is not free") as err:
+        collapse_driver(ctx)
+    st = partitions._DriverState(ctx)
+    # the count alone says the face is not free: no other coface is present
+    assert err.value.state == {"face": st.word_list(face), "other_coface": None}
+
+
+def test_driver_names_the_other_coface_of_a_face_that_is_not_free(monkeypatch):
+    # dropping the highest vertex instead of the least leaves the face 11,
+    # which lies in both maximal edges of the free k=2 complex
+    monkeypatch.setattr(partitions._DriverState, "least_vertex",
+                        lambda self, mask: mask.bit_length() - 1)
+    with pytest.raises(FalsificationError, match="selected face is not free") as err:
+        collapse_driver(ctx_free(2))
+    assert err.value.state["face"] == ["11"]
+    assert err.value.state["other_coface"] in (["11", "12"], ["11", "21"])
 
 
 def test_paranoid_mode_keeps_the_definitional_least_vertex(monkeypatch):

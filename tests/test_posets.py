@@ -23,7 +23,7 @@ from boxops.posets import (
 )
 from boxops.textform import from_box_expr
 
-from conftest import family_members, row_subposet
+from conftest import family_members, random_poset, row_subposet
 from oracles import (
     oracle_candidate_isomorphism,
     oracle_dismantle,
@@ -328,23 +328,6 @@ def test_dismantle_equals_oracle_on_sweep_member_posets(monkeypatch, side, tag):
     assert len(posets) == len(ambient)
     for poset in posets.values():
         assert_dismantle_equals_oracle(poset)
-
-
-def random_poset(rng, m, shuffled=True):
-    """A random order on range(m).  Its linear extension is shuffled, so
-    that key order and order relation are unrelated, or with shuffled=False
-    it is index order, as in a member poset."""
-    density = rng.choice((0.05, 0.15, 0.3, 0.6))
-    rank = list(range(m))
-    if shuffled:
-        rng.shuffle(rank)
-    up = [1 << i for i in range(m)]
-    # close under transitivity from the highest rank down
-    for i in sorted(range(m), key=lambda i: -rank[i]):
-        for j in range(m):
-            if rank[i] < rank[j] and rng.random() < density:
-                up[i] |= up[j]
-    return Poset(range(m), up)
 
 
 def test_product_equals_componentwise_order():

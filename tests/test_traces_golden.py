@@ -11,6 +11,8 @@ from boxops.checks import trace_to_json
 from boxops.complexes import replay_trace
 from boxops.partitions import ArcContext, all_contexts, collapse_driver
 
+from conftest import seeded_contexts
+
 GOLDEN_DIR = Path(__file__).parent / "golden" / "traces"
 K4_TRACES_SHA256 = "1e48169b0fcb0c7bd71d977974318c87552f0c8e1e761bb5fe5eba785cb1463a"
 
@@ -81,10 +83,10 @@ def _dict_form_json(ctx, result):
 
 
 def test_trace_json_equals_the_dumped_dict_form():
-    for k in range(4):
-        for ctx in all_contexts(k):
-            res = collapse_driver(ctx)
-            assert trace_to_json(ctx, res) == _dict_form_json(ctx, res)
+    contexts = [ctx for k in range(5) for ctx in all_contexts(k)]
+    for ctx in contexts + seeded_contexts(5, 20, 15, max_partitions=63):
+        res = collapse_driver(ctx)
+        assert trace_to_json(ctx, res) == _dict_form_json(ctx, res)
     # a pair that is not codimension one has a null least vertex, and words
     # with a two-digit letter sort as strings, not in vertex order
     ctx = ArcContext.from_arcs(3, ())
