@@ -13,7 +13,7 @@ reachability test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .bits import iter_bits
@@ -291,17 +291,18 @@ def _order_or_cycle(k: int, arcs: Iterable) -> tuple[list[int], list[int] | None
 
 
 class _IntervalChecker:
-    """Decomposability predicates over the linear order of a K-family object."""
+    """The decomposability predicate over the linear order of a K-family
+    object: positions a..b-1 split into two intervals whose crossing edges
+    all carry one label, each interval splitting again."""
 
     def __init__(self, mu: GraphObject, order: Sequence[int]):
         k = mu.k
-        self.k = k
         lab = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
                 lab[i][j] = mu.label(order[i], order[j])
         self.lab = lab
-        self._memo: dict[tuple, bool] = {}
+        self._memo: dict[tuple[int, int], bool] = {}
 
     def cross_label(self, a: int, m: int, b: int) -> int:
         """Common label of all edges between [a, m) and [m, b), else 0."""
@@ -314,18 +315,10 @@ class _IntervalChecker:
                     return 0
         return first
 
-    def labels_within(self, a: int, b: int) -> Iterator[int]:
-        lab = self.lab
-        for i in range(a, b):
-            row = lab[i]
-            for j in range(i + 1, b):
-                yield row[j]
-
     def decomposable(self, a: int, b: int) -> bool:
         if b - a <= 1:
             return True
-        key = ("m", a, b)
-        got = self._memo.get(key)
+        got = self._memo.get((a, b))
         if got is None:
             got = any(
                 self.cross_label(a, m, b)
@@ -333,44 +326,21 @@ class _IntervalChecker:
                 and self.decomposable(m, b)
                 for m in range(a + 1, b)
             )
-            self._memo[key] = got
+            self._memo[(a, b)] = got
         return got
 
-    def up(self, a: int, b: int, hi: int) -> bool:
-        key = ("up", a, b, hi)
-        got = self._memo.get(key)
-        if got is None:
-            if any(l > hi for l in self.labels_within(a, b)):
-                got = False
-            elif b - a <= 1:
-                got = True
-            else:
-                got = False
-                for m in range(a + 1, b):
-                    i = self.cross_label(a, m, b)
-                    if i and self.up(a, m, i) and self.up(m, b, i):
-                        got = True
-                        break
-            self._memo[key] = got
-        return got
 
-    def down(self, a: int, b: int, lo: int) -> bool:
-        key = ("down", a, b, lo)
-        got = self._memo.get(key)
-        if got is None:
-            if any(l < lo for l in self.labels_within(a, b)):
-                got = False
-            elif b - a <= 1:
-                got = True
-            else:
-                got = False
-                for m in range(a + 1, b):
-                    i = self.cross_label(a, m, b)
-                    if i and self.down(a, m, i) and self.down(m, b, i):
-                        got = True
-                        break
-            self._memo[key] = got
-        return got
+def _is_level_table(mu: GraphObject, order: Sequence[int], pick) -> bool:
+    """True iff, along the linear order, the label of order[i] order[j] is
+    pick (min for mdown, max for mup) of the levels
+    label(order[t], order[t+1]), i <= t < j."""
+    levels = [mu.label(a, b) for a, b in zip(order, order[1:])]
+    for i, want in enumerate(levels):
+        for j in range(i + 1, len(levels)):
+            want = pick(want, levels[j])
+            if mu.label(order[i], order[j + 1]) != want:
+                return False
+    return True
 
 
 def in_family(mu: GraphObject, fam: Family) -> bool:
@@ -395,12 +365,9 @@ def in_family(mu: GraphObject, fam: Family) -> bool:
         return False
     if tag == "k":
         return True
-    chk = _IntervalChecker(mu, order)
     if tag == "m":
-        return chk.decomposable(0, mu.k)
-    if tag == "mup":
-        return chk.up(0, mu.k, mu.n)
-    return chk.down(0, mu.k, fam.lo)
+        return _IntervalChecker(mu, order).decomposable(0, mu.k)
+    return _is_level_table(mu, order, min if tag == "mdown" else max)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +489,10 @@ def shift_labels(mu: GraphObject, delta: int, new_n: int) -> GraphObject:
 def top_decomposition(mu: GraphObject, i: int = 1) -> tuple[tuple[int, ...], ...]:
     """Maximal split of mu into box-i factors, as ordered element blocks.
 
-    Cuts at every position of the linear order where all crossing edges
-    carry exactly label i.  Requires mu to be down-decomposable with labels
-    >= i; the returned blocks then have all internal labels > i.
+    Requires mu to be down-decomposable with labels >= i.  Along its linear
+    order every label is then the least level between its ends, so the
+    crossing edges at a cut all carry label i exactly when the level at the
+    cut is i; the returned blocks have all internal labels > i.
     """
     if not in_family(mu, Family("mdown", i)):
         raise FamilyError(
@@ -533,27 +501,9 @@ def top_decomposition(mu: GraphObject, i: int = 1) -> tuple[tuple[int, ...], ...
     order = linear_order(mu)
     k = mu.k
     cuts = [0]
-    for m in range(1, k):
-        mono = True
-        for a in range(m):
-            for b in range(m, k):
-                if mu.label(order[a], order[b]) != i:
-                    mono = False
-                    break
-            if not mono:
-                break
-        if mono:
-            cuts.append(m)
+    cuts.extend(m for m in range(1, k) if mu.label(order[m - 1], order[m]) == i)
     cuts.append(k)
-    blocks = tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
-    for blk in blocks:
-        for p in range(len(blk)):
-            for q in range(p + 1, len(blk)):
-                if mu.label(blk[p], blk[q]) <= i:
-                    raise FamilyError(
-                        "maximal split left a label <= cut label inside a block"
-                    )
-    return blocks
+    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +529,68 @@ def guard_bits(n: int, k: int, max_bits: int) -> None:
         )
 
 
+def _position_tables(fam: Family, n: int, k: int) -> list[tuple[int, ...]]:
+    """The codes of fam's members whose linear order is 0, 1, ..., k-1.
+
+    Every arc of such a table points forward.  An mdown or mup table is a
+    level sequence l in {lo..n}^(k-1), the edge (p, q) taking the least or
+    the greatest of l_p..l_(q-1); the m tables are the box products of
+    smaller m tables, built up by size.
+    """
+    labels = range(fam.lo, n + 1)
+    if fam.tag == "m":
+        sized = [set(), {point(n)}]
+        for size in range(2, k + 1):
+            sized.append({
+                box(i, left, right)
+                for cut in range(1, size)
+                for left in sized[cut]
+                for right in sized[size - cut]
+                for i in labels
+            })
+        return [table.codes for table in sized[k]]
+    pick = min if fam.tag == "mdown" else max
+    pairs = edge_pairs(k)
+    return [
+        tuple((pick(levels[p:q]) - 1) * 2 + 1 for p, q in pairs)
+        for levels in product(labels, repeat=k - 1)
+    ]
+
+
+def _ordered_tables(tables: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+    """The codes of every object with some linear order and a position table
+    from tables, in ascending key order."""
+    pairs = edge_pairs(k)
+    e = len(pairs)
+    # a table followed by its reversed-arc copy: one index per edge picks
+    # the code whichever way the order puts the edge's ends
+    both = [table + tuple(c ^ 1 for c in table) for table in tables]
+    out = []
+    for order in permutations(range(k)):
+        pos = [0] * k
+        for p, v in enumerate(order):
+            pos[v] = p
+        picks = [
+            pair_position(k, pos[x], pos[y]) if pos[x] < pos[y]
+            else e + pair_position(k, pos[y], pos[x])
+            for x, y in pairs
+        ]
+        out.extend(tuple(map(table.__getitem__, picks)) for table in both)
+    # fixed-width codes, first pair most significant: tuple order is key order
+    out.sort()
+    return out
+
+
 def enumerate_family(
     fam: Family, n: int, k: int, max_bits: int = DEFAULT_MAX_BITS
 ) -> Iterator[GraphObject]:
     """Yield every member once, in ascending canonical key order.
 
-    Tags with an acyclicity constraint are enumerated by edge-by-edge
-    depth-first extension with incremental cycle pruning; the decomposable
-    tags filter the acyclic stream.
+    An acyclic object is its linear order together with its labels over
+    positions, and membership in m, mup and mdown reads the labels alone:
+    those tags pair every order with every admissible position table.  ke
+    and k are enumerated by edge-by-edge depth-first extension with
+    incremental cycle pruning.
     """
     guard_bits(n, k, max_bits)
     if k <= 1:
@@ -600,28 +604,23 @@ def enumerate_family(
         for codes in product(code_range, repeat=k * (k - 1) // 2):
             yield GraphObject(n, k, codes)
         return
+    if fam.tag in ("m", "mup", "mdown"):
+        for codes in _ordered_tables(_position_tables(fam, n, k), k):
+            yield GraphObject(n, k, codes)
+        return
 
     per_label = fam.tag == "ke"
-    post = None
-    if fam.tag in ("m", "mup", "mdown"):
-        post = fam
-
     pairs = edge_pairs(k)
     e = len(pairs)
     # reach[label][v] = bitmask of vertices reachable from v via arcs of that
-    # label added so far (label 0 is the shared digraph for the plain
-    # acyclicity tags)
+    # label added so far (label 0 is the shared digraph for k)
     nlabels = n + 1 if per_label else 1
     reach = [[1 << v for v in range(k)] for _ in range(nlabels)]
     codes: list[int] = []
 
-    def emit(obj: GraphObject) -> Iterator[GraphObject]:
-        if post is None or in_family(obj, post):
-            yield obj
-
     def walk(pos: int) -> Iterator[GraphObject]:
         if pos == e:
-            yield from emit(GraphObject(n, k, codes))
+            yield GraphObject(n, k, codes)
             return
         x, y = pairs[pos]
         for c in code_range:

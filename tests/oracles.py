@@ -167,6 +167,21 @@ ORACLES = {
 }
 
 
+@lru_cache(maxsize=None)
+def filter_route(tag, n, k, lo=1):
+    """The keys of a family with label floor lo, ascending: the acyclic
+    walk's members with labels >= lo that the definition-literal oracle
+    accepts.  The walk's floor is the family's, so oracle_in_mup, which
+    takes none, is asked only about objects above it."""
+    from boxops.graphs import Family, enumerate_family
+
+    return tuple(
+        obj.key
+        for obj in enumerate_family(Family("k", lo), n, k)
+        if ORACLES[tag](obj)
+    )
+
+
 def brute_force_family(tag, n, k):
     """Enumerate a family by filtering every packed code, key-ascending."""
     from itertools import product

@@ -4,7 +4,7 @@ import pytest
 
 from boxops import checks, cli
 from boxops.cache import CacheVersionError, read_cache, write_cache
-from boxops.graphs import KE
+from boxops.graphs import KE, Family
 from boxops.partitions import ArcContext, collapse_driver
 from boxops.reports import (
     FAIL,
@@ -17,6 +17,8 @@ from boxops.reports import (
     summarize,
     write_records,
 )
+
+from oracles import filter_route
 
 
 def strip_wall(records):
@@ -74,6 +76,24 @@ def test_n1_cache_files_coincide(tmp_path):
         for tag in ("k", "ke", "m")
     }
     assert bodies["k"] == bodies["ke"] == bodies["m"]
+
+
+@pytest.mark.parametrize("lo", [1, 2])
+def test_table_family_caches_equal_filter_route(tmp_path, lo):
+    out = tmp_path / "records.jsonl"
+    code = cli.main(
+        ["enumerate", "--tag", "m", "--tag", "mup", "--tag", "mdown",
+         "--n", "2,3", "--k", "3,4", "--lo", str(lo),
+         "--cache-dir", str(tmp_path / "cli"), "--out", str(out)]
+    )
+    assert code == 0
+    for tag in ("m", "mup", "mdown"):
+        for n in (2, 3):
+            for k in (3, 4):
+                want = write_cache(tmp_path / "oracle", Family(tag, lo), n, k,
+                                   filter_route(tag, n, k, lo))
+                got = tmp_path / "cli" / want.name
+                assert got.read_bytes() == want.read_bytes(), want.name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -39,6 +40,7 @@ from oracles import (
     ORACLES,
     brute_force_family,
     decode,
+    filter_route,
     generic_cycle_search,
     oracle_topological_order,
 )
@@ -158,13 +160,19 @@ def test_family_chain_containments():
 
 
 def test_family_membership_against_oracles():
+    # with every label floor: a member of Family(tag, lo) is a member of tag
+    # whose labels are all >= lo
     for n, k in [(2, 3), (3, 3), (2, 4)]:
         for obj in family_members("g", n, k):
-            for tag in ("ke", "k", "m", "mup", "mdown"):
-                assert in_family(obj, Family(tag)) == ORACLES[tag](obj), (
-                    tag,
-                    obj.key,
-                )
+            floor = min(obj.codes) // 2 + 1
+            for tag in ("g", "ke", "k", "m", "mup", "mdown"):
+                want = ORACLES[tag](obj)
+                for lo in range(1, n + 2):
+                    assert in_family(obj, Family(tag, lo)) == (want and floor >= lo), (
+                        tag,
+                        lo,
+                        obj.key,
+                    )
 
 
 def test_acyclicity_equals_no_directed_3cycle():
@@ -468,6 +476,29 @@ def test_enumerator_matches_brute_force_objects():
         fast = [o.key for o in family_members(tag, 2, 3)]
         slow = [o.key for o in brute_force_family(tag, 2, 3)]
         assert fast == slow
+    # the tables of m, mup and mdown against the filter route, at every floor
+    for n, k in [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                 (3, 4), (4, 3)]:
+        for lo in range(1, n + 2):
+            for tag in ("m", "mup", "mdown"):
+                fast = [o.key for o in enumerate_family(Family(tag, lo), n, k)]
+                assert fast == list(filter_route(tag, n, k, lo)), (tag, n, k, lo)
+
+
+def test_level_family_counts():
+    # mdown and mup pair each of the k! linear orders with each of the
+    # n^(k-1) level sequences
+    scales = [(e["n"], e["k"], e["families"]) for e in GOLDEN["counts"]]
+    scales += [(2, 5, None), (3, 5, None), (2, 6, None)]
+    for n, k, golden in scales:
+        want = math.factorial(k) * n ** (k - 1)
+        for tag in ("mdown", "mup"):
+            got = sum(1 for _ in enumerate_family(Family(tag), n, k))
+            assert got == want, (tag, n, k)
+            if golden is not None:
+                assert golden[tag] == want, (tag, n, k)
+    # m(2,5) as pinned here is also what the filter route over k(2,5) counts
+    assert sum(1 for _ in enumerate_family(M, 2, 5)) == 10800
 
 
 def test_enumeration_guard():
