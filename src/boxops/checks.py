@@ -12,9 +12,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Iterator
 
 from . import graphs
 from .complexes import replay_trace
+from .contractibility import CONTRACTIBLE, HOMOLOGY_ONLY
 from .contractibility import check_homotopy_final, check_homotopy_initial
 from .cubes import (
     brute_force_realizes_below,
@@ -65,11 +67,18 @@ def _timed(check: str, params: dict, fn) -> ReportRecord:
 
 
 def trace_to_json(ctx: ArcContext, result) -> str:
-    """The trace as json.dumps(doc, sort_keys=True) of its dict form.
+    """The trace as json.dumps(doc, sort_keys=True) of its dict form."""
+    return "".join(_trace_pieces(ctx, result))
+
+
+def _trace_pieces(ctx: ArcContext, result) -> Iterator[str]:
+    """The text of trace_to_json, one piece per step between a head and a
+    tail.
 
     Each step is rendered straight to text from its masks, with every
     vertex name quoted once per trace, so a trace of millions of steps never
-    holds a dict per step.
+    holds a dict per step, and a writer that takes the pieces one by one
+    never holds the whole text.
     """
     trace = result.trace
     quoted = [json.dumps("".join(map(str, a))) for a in trace.vertices]
@@ -81,7 +90,7 @@ def trace_to_json(ctx: ArcContext, result) -> str:
         {
             "format": TRACE_VERSION,
             "k": ctx.k,
-            "context": sorted(ctx.closure()),
+            "context": ctx.context_key(),
             "partitions": result.partition_count,
             "simplex_count": result.simplex_count,
             "least": result.terminal.word(),
@@ -91,7 +100,7 @@ def trace_to_json(ctx: ArcContext, result) -> str:
     )
     # "steps" is the last key in sorted order: the steps go between its
     # brackets
-    pieces = [head[: -len("]}")]]
+    yield head[: -len("]}")]
     sep = ""
     for i, (face, simplex) in enumerate(trace.steps):
         # one pass over the step's bits gives both name lists and the first
@@ -112,19 +121,18 @@ def trace_to_json(ctx: ArcContext, result) -> str:
             face_names.sort()
             simplex_names.sort()
         least = extra if simplex.bit_count() - face.bit_count() == 1 else "null"
-        pieces.append(
+        yield (
             f'{sep}{{"least": {least}, "removed_face": [{", ".join(face_names)}], '
             f'"simplex": [{", ".join(simplex_names)}], "step": {i}}}'
         )
         sep = ", "
-    pieces.append("]}\n")
-    return "".join(pieces)
+    yield "]}\n"
 
 
 def _drive_context(payload):
     """Drive and replay one context; with a trace directory, write its trace
-    there at once and return only the path, so no trace text outlives its
-    context."""
+    there piece by piece and return only the path, so the whole trace text
+    is never held."""
     k, arcs, paranoid, trace_dir = payload
     ctx = ArcContext.from_arcs(k, arcs)
     try:
@@ -146,7 +154,8 @@ def _drive_context(payload):
     if trace_dir is not None:
         name = "-".join(f"{a}{b}" for a, b in arcs) or "free"
         path = trace_dir / f"collapse-k{k}-{name}.json"
-        path.write_text(trace_to_json(ctx, result))
+        with open(path, "w") as out:
+            out.writelines(_trace_pieces(ctx, result))
         res["trace_path"] = str(path)
     return (arcs, res)
 
@@ -172,7 +181,7 @@ def run_collapse(
     by_context: dict[tuple, list] = {}
     for obj in objs:
         ctx = ArcContext.from_graph_object(obj)
-        by_context.setdefault(tuple(sorted(ctx.closure())), []).append(obj)
+        by_context.setdefault(ctx.context_key(), []).append(obj)
 
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
@@ -259,12 +268,12 @@ def _poset_sweep(check, direction, n, k, sub_tag, sample, seed, jobs, ambient="k
     records = []
     for omega_key, status, method, detail in results:
         params = {**base, "object_key": omega_key}
-        if status == "CONTRACTIBLE-certified":
+        if status == CONTRACTIBLE:
             records.append(
                 ReportRecord(check, params, PASS,
                              {"method": method, **detail})
             )
-        elif status == "HOMOLOGY-TRIVIAL-only":
+        elif status == HOMOLOGY_ONLY:
             records.append(ReportRecord(check, params, INCONCLUSIVE, dict(detail)))
         else:
             records.append(ReportRecord(check, params, FAIL,
@@ -304,7 +313,7 @@ def run_grothendieck(n, k, sample=None, seed=None) -> list[ReportRecord]:
         )
     seen = set()
     for obj in objs:
-        key = tuple(sorted(ArcContext.from_graph_object(obj).closure()))
+        key = ArcContext.from_graph_object(obj).context_key()
         if key in seen:
             continue
         seen.add(key)
@@ -317,8 +326,9 @@ def run_grothendieck(n, k, sample=None, seed=None) -> list[ReportRecord]:
     return records
 
 
-def run_duality(n, k, seed=None, pair_samples=20000) -> list[ReportRecord]:
-    """Involution, membership exchange, and order reversal for the dual."""
+def run_duality(n, k, seed=None) -> list[ReportRecord]:
+    """Involution, membership exchange, and order reversal for the dual; the
+    reversal checks all pairs up to 4,000,000 and 20,000 seeded ones beyond."""
     records = []
 
     def edge_table():
@@ -377,7 +387,7 @@ def run_duality(n, k, seed=None, pair_samples=20000) -> list[ReportRecord]:
         if seed is None:
             return REFUSED, {"reason": "sampling the order reversal requires a seed"}
         rng = random.Random(seed)
-        for _ in range(pair_samples):
+        for _ in range(20000):
             a = objs[rng.randrange(len(objs))]
             b = objs[rng.randrange(len(objs))]
             if is_morphism(a, b) != is_morphism(dual(b), dual(a)):
@@ -487,19 +497,10 @@ def run_axioms(seed, samples=100) -> list[ReportRecord]:
     ]
 
 
-def run_cubes(
-    seed,
-    nonempty_scales=((2, 3), (2, 4)),
-    nonempty_sampled=((3, 4, 3000),),
-    union_scales=((2, 3), (3, 3)),
-    union_sampled_scales=((2, 4),),
-    configs=1000,
-    nu_samples=100,
-    h_scales=((2, 3), (3, 3), (2, 4)),
-    h_samples=200,
-    infimum_samples=500,
-) -> list[ReportRecord]:
-    """The realization-space sweeps behind the cube acceptance criterion."""
+def run_cubes(seed) -> list[ReportRecord]:
+    """The realization-space sweeps behind the cube acceptance criterion:
+    nonemptiness, the union test on 1000 configurations per scale (all nu,
+    or 100 sampled at (2,4)), 200 homotopy samples per scale, 500 infima."""
     records = []
 
     def nonempty(n, k, sample=None):
@@ -533,10 +534,9 @@ def run_cubes(
             body,
         )
 
-    for n, k in nonempty_scales:
+    for n, k in ((2, 3), (2, 4)):
         records.append(nonempty(n, k))
-    for n, k, sample in nonempty_sampled:
-        records.append(nonempty(n, k, sample))
+    records.append(nonempty(3, 4, 3000))
 
     def union_equivalence(n, k, exhaustive_nu):
         def body():
@@ -544,6 +544,7 @@ def run_cubes(
 
             rng = random.Random(seed + 10 * n + k)
             objs = list(family_tuple("ke", n, k))
+            configs = 1000
             checked = 0
             for _ in range(configs):
                 cfg = sample_config(rng, n, k)
@@ -551,7 +552,7 @@ def run_cubes(
                 if exhaustive_nu:
                     nus = objs
                 else:
-                    nus = [objs[rng.randrange(len(objs))] for _ in range(nu_samples)]
+                    nus = [objs[rng.randrange(len(objs))] for _ in range(100)]
                 for nu in nus:
                     got = realizes_below_table(table, nu)
                     want = brute_force_realizes_below(cfg, nu, objs)
@@ -570,17 +571,16 @@ def run_cubes(
             body,
         )
 
-    for n, k in union_scales:
+    for n, k in ((2, 3), (3, 3)):
         records.append(union_equivalence(n, k, True))
-    for n, k in union_sampled_scales:
-        records.append(union_equivalence(n, k, False))
+    records.append(union_equivalence(2, 4, False))
 
     def homotopy(n, k):
         def body():
             rng = random.Random(seed + 100 * n + k)
             objs = list(family_tuple("ke", n, k))
             done = 0
-            while done < h_samples:
+            while done < 200:
                 nu = objs[rng.randrange(len(objs))]
                 anchor = witness(nu)
                 cfg = sample_config(rng, n, k)
@@ -608,13 +608,13 @@ def run_cubes(
 
         return _timed("cubes", {"variant": "homotopy", "n": n, "k": k}, body)
 
-    for n, k in h_scales:
+    for n, k in ((2, 3), (3, 3), (2, 4)):
         records.append(homotopy(n, k))
 
     def infimum():
         rng = random.Random(seed + 777)
         done = 0
-        while done < infimum_samples:
+        while done < 500:
             n = rng.choice([2, 3])
             k = rng.randint(2, 3)
             cfg = sample_config(rng, n, k)

@@ -161,7 +161,7 @@ class SimplicialComplex:
         return "\n".join(lines) + "\n"
 
 
-def free_faces(simplices: frozenset[int], nverts: int) -> dict[int, int]:
+def free_faces(simplices: frozenset[int]) -> dict[int, int]:
     """Map each free face to its unique cofacet.
 
     A face is free exactly when it has one present coface.

@@ -32,7 +32,7 @@ class Verdict:
         return self.status == CONTRACTIBLE
 
 
-def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
+def certify_contractible(poset: Poset) -> Verdict:
     """Certify that a poset's order complex is contractible.
 
     Tries: cone (a minimum or maximum element), dismantling to a point,
@@ -58,7 +58,7 @@ def certify_contractible(poset: Poset, dim_cap: int = 48) -> Verdict:
             CONTRACTIBLE, "dismantle", {"size": m, "removals": len(steps)}
         )
     try:
-        complex_ = core.order_complex(dim_cap=dim_cap)
+        complex_ = core.order_complex(dim_cap=48)
         trace = greedy_collapse(complex_)
     except CapExceededError as exc:
         return Verdict(FAILED, None, {"size": m, "error": str(exc)})

@@ -27,6 +27,10 @@ from .graphs import (
 )
 from .textform import from_box_expr
 
+# sample_config draws endpoints in (1/SAMPLE_DEN)Z, at most SAMPLE_TRIES times
+SAMPLE_DEN = 24
+SAMPLE_TRIES = 4000
+
 
 @dataclass(frozen=True)
 class AffineEmbedding:
@@ -437,29 +441,28 @@ def compose_configs(outer: CubeConfig, inners: Sequence[CubeConfig]) -> CubeConf
     return CubeConfig(outer.n, tuple(cubes))
 
 
-def sample_config(
-    rng: random.Random, n: int, k: int, max_den: int = 24, tries: int = 4000
-) -> CubeConfig:
-    """A separated configuration with endpoints in (1/max_den)Z, by rejection.
+def sample_config(rng: random.Random, n: int, k: int) -> CubeConfig:
+    """A separated configuration with endpoints in (1/SAMPLE_DEN)Z, by
+    rejection, giving up after SAMPLE_TRIES draws.
 
     Each try draws the integer endpoints and is tested for separation
     before any Fraction is built.
     """
-    for _ in range(tries):
+    for _ in range(SAMPLE_TRIES):
         lo, hi = [], []
         for _ in range(k * n):
-            a = rng.randint(0, max_den - 1)
+            a = rng.randint(0, SAMPLE_DEN - 1)
             lo.append(a)
-            hi.append(rng.randint(a + 1, max_den))
+            hi.append(rng.randint(a + 1, SAMPLE_DEN))
         if _separated(n, k, lo, hi):
             return CubeConfig(n, tuple(
                 LittleCube(tuple(
-                    AffineEmbedding(Fraction(lo[j], max_den), Fraction(hi[j], max_den))
+                    AffineEmbedding(Fraction(lo[j], SAMPLE_DEN), Fraction(hi[j], SAMPLE_DEN))
                     for j in range(x * n, x * n + n)
                 ))
                 for x in range(k)
             ))
-    raise RuntimeError(f"no separated sample found in {tries} tries")
+    raise RuntimeError(f"no separated sample found in {SAMPLE_TRIES} tries")
 
 
 def factorization_checks(seed: int, gamma_samples: int = 100) -> dict:

@@ -7,7 +7,8 @@ families, the box and gamma products, the symmetric group action,
 restriction along injections, label duality and key-ordered enumeration.
 Topological orders and monochromatic cycles come from one sort on
 predecessor masks; _add_arc, one step on reach rows, is the one
-reachability test.
+reachability test; box_split, over the labels along an object's linear
+order, is the one maximal box split.
 """
 
 from __future__ import annotations
@@ -290,55 +291,58 @@ def _order_or_cycle(k: int, arcs: Iterable) -> tuple[list[int], list[int] | None
     return order, None
 
 
-class _IntervalChecker:
-    """The decomposability predicate over the linear order of a K-family
-    object: positions a..b-1 split into two intervals whose crossing edges
-    all carry one label, each interval splitting again."""
-
-    def __init__(self, mu: GraphObject, order: Sequence[int]):
-        k = mu.k
-        lab = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                lab[i][j] = mu.label(order[i], order[j])
-        self.lab = lab
-        self._memo: dict[tuple[int, int], bool] = {}
-
-    def cross_label(self, a: int, m: int, b: int) -> int:
-        """Common label of all edges between [a, m) and [m, b), else 0."""
-        lab = self.lab
-        first = lab[a][m]
-        for i in range(a, m):
-            row = lab[i]
-            for j in range(m, b):
-                if row[j] != first:
-                    return 0
-        return first
-
-    def decomposable(self, a: int, b: int) -> bool:
-        if b - a <= 1:
-            return True
-        got = self._memo.get((a, b))
-        if got is None:
-            got = any(
-                self.cross_label(a, m, b)
-                and self.decomposable(a, m)
-                and self.decomposable(m, b)
-                for m in range(a + 1, b)
-            )
-            self._memo[(a, b)] = got
-        return got
+def label_table(mu: GraphObject, order: Sequence[int]) -> list[list[int]]:
+    """lab[p][q], p < q, is the label of the edge between order[p] and
+    order[q]; along mu's linear order each arc's tail comes first."""
+    k = mu.k
+    pos = [0] * k
+    for p, v in enumerate(order):
+        pos[v] = p
+    lab = [[0] * k for _ in range(k)]
+    for (x, y), c in zip(edge_pairs(k), mu.codes):
+        p, q = (pos[x], pos[y]) if c & 1 else (pos[y], pos[x])
+        lab[p][q] = (c >> 1) + 1
+    return lab
 
 
-def _is_level_table(mu: GraphObject, order: Sequence[int], pick) -> bool:
-    """True iff, along the linear order, the label of order[i] order[j] is
-    pick (min for mdown, max for mup) of the levels
-    label(order[t], order[t+1]), i <= t < j."""
-    levels = [mu.label(a, b) for a, b in zip(order, order[1:])]
-    for i, want in enumerate(levels):
-        for j in range(i + 1, len(levels)):
-            want = pick(want, levels[j])
-            if mu.label(order[i], order[j + 1]) != want:
+def box_split(lab: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, list[int]]:
+    """(label, cuts): the cuts m, a < m < b, at which every edge between
+    positions a..m-1 and m..b-1 carries one label.
+
+    The edge from a to b-1 crosses every cut, so all cuts share its label:
+    positions a..b-1 are the box-label product of the pieces between
+    consecutive cuts, and no piece splits again at that label.
+    """
+    label = lab[a][b - 1]
+    cuts = [
+        m for m in range(a + 1, b)
+        if all(lab[i][j] == label for i in range(a, m) for j in range(m, b))
+    ]
+    return label, cuts
+
+
+def _splits(lab: Sequence[Sequence[int]], a: int, b: int) -> bool:
+    """True iff positions a..b-1 are box products down to single positions.
+
+    Any single cut decides, and so the maximal split does, because a box
+    product restricted to an interval of positions is again a box product.
+    """
+    if b - a <= 1:
+        return True
+    cuts = box_split(lab, a, b)[1]
+    bounds = [a, *cuts, b]
+    return bool(cuts) and all(_splits(lab, p, q) for p, q in zip(bounds, bounds[1:]))
+
+
+def _is_level_table(lab: Sequence[Sequence[int]], pick) -> bool:
+    """True iff every label lab[i][j] is pick (min for mdown, max for mup)
+    of the levels lab[t][t+1], i <= t < j."""
+    for i in range(len(lab) - 1):
+        row = lab[i]
+        want = row[i + 1]
+        for j in range(i + 2, len(row)):
+            want = pick(want, lab[j - 1][j])
+            if row[j] != want:
                 return False
     return True
 
@@ -365,9 +369,10 @@ def in_family(mu: GraphObject, fam: Family) -> bool:
         return False
     if tag == "k":
         return True
+    lab = label_table(mu, order)
     if tag == "m":
-        return _IntervalChecker(mu, order).decomposable(0, mu.k)
-    return _is_level_table(mu, order, min if tag == "mdown" else max)
+        return _splits(lab, 0, mu.k)
+    return _is_level_table(lab, min if tag == "mdown" else max)
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +494,18 @@ def shift_labels(mu: GraphObject, delta: int, new_n: int) -> GraphObject:
 def top_decomposition(mu: GraphObject, i: int = 1) -> tuple[tuple[int, ...], ...]:
     """Maximal split of mu into box-i factors, as ordered element blocks.
 
-    Requires mu to be down-decomposable with labels >= i.  Along its linear
-    order every label is then the least level between its ends, so the
-    crossing edges at a cut all carry label i exactly when the level at the
-    cut is i; the returned blocks have all internal labels > i.
+    Requires mu to be down-decomposable with labels >= i.  The split is the
+    maximal box split of mu's label table when its label is i, and mu as
+    one block otherwise; the returned blocks have all internal labels > i.
     """
     if not in_family(mu, Family("mdown", i)):
         raise FamilyError(
             f"object is not down-decomposable with labels >= {i}"
         )
     order = linear_order(mu)
-    k = mu.k
-    cuts = [0]
-    cuts.extend(m for m in range(1, k) if mu.label(order[m - 1], order[m]) == i)
-    cuts.append(k)
-    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
+    label, cuts = box_split(label_table(mu, order), 0, mu.k) if mu.k > 1 else (0, [])
+    bounds = [0, *(cuts if label == i else []), mu.k]
+    return tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from .bits import iter_bits
 from .complexes import SimplicialComplex
 from .errors import CapExceededError, IntegrityError
 
-DEFAULT_CELL_CAP = 40000
+CELL_CAP = 40000
 
 
 def smith_diagonal(rows: list[dict[int, int]], ncols: int) -> list[int]:
@@ -139,29 +139,24 @@ class HomologyReport:
         ]
 
 
-def reduced_homology(
-    complex_: SimplicialComplex,
-    max_dim: int | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> HomologyReport:
-    """Reduced homology of a materialized complex up to max_dim.
+def reduced_homology(complex_: SimplicialComplex) -> HomologyReport:
+    """Reduced homology of a materialized complex in every dimension, with
+    an Euler characteristic cross-check.
 
-    Refuses loudly when the complex exceeds cell_cap cells; there is no
+    Refuses loudly when the complex exceeds CELL_CAP cells; there is no
     silent truncation.
     """
     simplices = complex_.materialize()
     if not simplices:
         raise ValueError("homology of the empty complex is not provided")
-    if len(simplices) > cell_cap:
+    if len(simplices) > CELL_CAP:
         raise CapExceededError(
-            f"{len(simplices)} cells exceed the homology cap {cell_cap}"
+            f"{len(simplices)} cells exceed the homology cap {CELL_CAP}"
         )
     by_dim: dict[int, list[int]] = {}
     for mask in simplices:
         by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
     top = max(by_dim)
-    if max_dim is None:
-        max_dim = top
     for d in by_dim:
         by_dim[d].sort(key=lambda m: tuple(iter_bits(m)))
     position = {
@@ -186,7 +181,7 @@ def reduced_homology(
 
     rank: dict[int, int] = {}
     tors: dict[int, list[int]] = {}
-    for d in range(0, min(max_dim, top) + 2):
+    for d in range(0, top + 2):
         rows, ncols = boundary_rows(d)
         if ncols == 0:
             rank[d] = 0
@@ -198,21 +193,17 @@ def reduced_homology(
 
     betti = {}
     torsion = {}
-    cells = {d: len(by_dim.get(d, ())) for d in range(0, min(max_dim, top) + 1)}
-    for d in range(0, min(max_dim, top) + 1):
+    cells = {d: len(by_dim.get(d, ())) for d in range(0, top + 1)}
+    for d in range(0, top + 1):
         betti[d] = len(by_dim.get(d, ())) - rank.get(d, 0) - rank.get(d + 1, 0)
         torsion[d] = tors.get(d + 1, [])
         if betti[d] < 0:
             raise IntegrityError("negative Betti number; rank bookkeeping broken")
-    report = HomologyReport(betti=betti, torsion=torsion, cells=cells)
-    if max_dim >= top:
-        # Euler characteristic cross-check (reduced: compare against -1+chi)
-        chi_cells = sum(
-            (1 if d % 2 == 0 else -1) * c for d, c in cells.items()
+    # Euler characteristic cross-check (reduced: compare against -1+chi)
+    chi_cells = sum((1 if d % 2 == 0 else -1) * c for d, c in cells.items())
+    chi_betti = sum((1 if d % 2 == 0 else -1) * b for d, b in betti.items())
+    if chi_betti + 1 != chi_cells:
+        raise IntegrityError(
+            f"Euler characteristic mismatch: betti {chi_betti + 1} vs cells {chi_cells}"
         )
-        chi_betti = sum((1 if d % 2 == 0 else -1) * b for d, b in betti.items())
-        if chi_betti + 1 != chi_cells:
-            raise IntegrityError(
-                f"Euler characteristic mismatch: betti {chi_betti + 1} vs cells {chi_cells}"
-            )
-    return report
+    return HomologyReport(betti=betti, torsion=torsion, cells=cells)

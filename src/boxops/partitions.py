@@ -111,9 +111,9 @@ class ArcContext:
     def closure(self) -> frozenset[tuple[int, int]]:
         return _closure(self.k, self.one_arcs)
 
-    def context_key(self) -> tuple:
-        """Canonical dedup key: admissibility depends only on the closure."""
-        return (self.k, tuple(sorted(self.closure())))
+    def context_key(self) -> tuple[tuple[int, int], ...]:
+        """Sorted closure arcs: admissibility depends only on the closure."""
+        return tuple(sorted(self.closure()))
 
     def partitions(self) -> tuple[OrderedPartition, ...]:
         return _partitions(self.k, self.closure())
@@ -127,11 +127,12 @@ class ArcContext:
     def compatibility_masks(self) -> tuple[int, ...]:
         return _compatibility_masks(self.k, self.closure())
 
-    def flag_complex(self, dim_cap: int = 24) -> SimplicialComplex:
-        """The compatibility flag complex on the admissible partitions."""
+    def flag_complex(self) -> SimplicialComplex:
+        """The compatibility flag complex on the admissible partitions, up to
+        dimension 24."""
         parts = self.partitions()
         return SimplicialComplex.flag(
-            tuple(v.alpha for v in parts), self.compatibility_masks(), dim_cap=dim_cap
+            tuple(v.alpha for v in parts), self.compatibility_masks(), dim_cap=24
         )
 
     def least(self) -> OrderedPartition:

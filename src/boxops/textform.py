@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from . import graphs
-from .errors import FamilyError, IntegrityError
+from .errors import FamilyError
 from .graphs import GraphObject
 
 _TOKEN = re.compile(r"\s*(\(|\)|\[\]\d+|\d+)")
@@ -28,42 +28,26 @@ def to_box_expr(mu: GraphObject) -> str:
         return "0"
     if not graphs.in_family(mu, graphs.M):
         raise FamilyError("object is not decomposable; no box expression exists")
+    order = graphs.linear_order(mu)
+    lab = graphs.label_table(mu, order)
 
-    def render(elements: tuple[int, ...]) -> str:
-        if len(elements) == 1:
-            return str(elements[0] + 1)
-        sub = graphs.restrict(mu, elements)
-        order = graphs.linear_order(sub)
-        # all full-width cuts of a decomposable object share one label
-        cut_label = 0
-        cuts = [0]
-        for m in range(1, len(order)):
-            labs = {
-                sub.label(order[a], order[b])
-                for a in range(m)
-                for b in range(m, len(order))
-            }
-            if len(labs) == 1:
-                cut_label = labs.pop()
-                cuts.append(m)
-        cuts.append(len(order))
-        if len(cuts) == 2:
-            raise IntegrityError("decomposable object has no full-width cut")
-        parts = []
-        for a, b in zip(cuts, cuts[1:]):
-            piece = tuple(elements[order[i]] for i in range(a, b))
-            text = render(piece)
-            if len(piece) > 1:
-                text = f"({text})"
-            parts.append(text)
-        sep = f"[]{cut_label}"
+    # positions a..b-1 of the order; as mu is in M, each piece has a cut
+    def render(a: int, b: int) -> str:
+        if b - a == 1:
+            return str(order[a] + 1)
+        label, cuts = graphs.box_split(lab, a, b)
+        bounds = [a, *cuts, b]
+        parts = [
+            render(p, q) if q - p == 1 else f"({render(p, q)})"
+            for p, q in zip(bounds, bounds[1:])
+        ]
+        sep = f"[]{label}"
         out = parts[0]
         for part in parts[1:]:
             out += sep + (" " if part[0].isdigit() else "") + part
         return out
 
-    order = graphs.linear_order(mu)
-    return render(tuple(order)) if mu.k > 1 else "1"
+    return render(0, mu.k)
 
 
 def from_box_expr(text: str, n: int | None = None) -> GraphObject:

@@ -89,7 +89,7 @@ def test_coface_counts_equal_the_counts_over_the_materialized_family():
 
 def test_free_faces_of_full_simplex():
     c = full_simplex(3)
-    ff = free_faces(c.materialize(), 3)
+    ff = free_faces(c.materialize())
     # every codim-1 face of the top cell is free, nothing else
     assert set(ff.values()) == {0b111}
     assert all(f.bit_count() == 2 for f in ff)
@@ -252,7 +252,7 @@ def test_collapse_preserves_homology_seeded():
             simplices.append(tuple(rng.sample(range(nverts), size)))
         simplices.extend((v,) for v in range(nverts))
         c = SimplicialComplex.from_simplices(range(nverts), simplices)
-        ff = free_faces(c.materialize(), nverts)
+        ff = free_faces(c.materialize())
         if not ff:
             continue
         face = min(ff, key=lambda m: tuple(i for i in range(nverts) if (m >> i) & 1))

@@ -175,6 +175,17 @@ def test_family_membership_against_oracles():
                     )
 
 
+@pytest.mark.parametrize("n,k", [(3, 4), (4, 3)])
+def test_m_membership_equals_position_tables(n, k):
+    # past (2,4), the largest scale the definition oracle reaches: an acyclic
+    # object is in m exactly when its labels over the positions of its
+    # linear order (the object re-homed along that order) form an m table
+    tables = set(graphs._position_tables(M, n, k))
+    for obj in family_members("k", n, k):
+        table = restrict(obj, linear_order(obj)).codes
+        assert in_family(obj, M) == (table in tables), obj.key
+
+
 def test_acyclicity_equals_no_directed_3cycle():
     # in_family("k") asks for a topological order; compare with generic search
     for obj in family_members("g", 2, 4):

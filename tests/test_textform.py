@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from boxops import graphs, textform
@@ -25,6 +27,22 @@ def test_expression_round_trip_exhaustive_m():
         for obj in family_members("m", n, k):
             text = textform.to_box_expr(obj)
             assert textform.from_box_expr(text, n) == obj
+
+
+# sha256 over the expression of every m member, one line each in key order,
+# as rendered when each block was re-derived by restriction
+EXPRESSION_DIGESTS = {
+    (3, 4): "319909d713d6212b0ea56de66b1799b3b909bb535efdbbe21491e6b9fcfaa31d",
+    (2, 5): "8f713a7f4829ef28efca05c16b9dabc2c19e032791c7c2854214257b7824f272",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(EXPRESSION_DIGESTS))
+def test_box_expressions_are_pinned(n, k):
+    h = hashlib.sha256()
+    for obj in family_members("m", n, k):
+        h.update(textform.to_box_expr(obj).encode() + b"\n")
+    assert h.hexdigest() == EXPRESSION_DIGESTS[(n, k)]
 
 
 def test_flat_chains_are_associative():
