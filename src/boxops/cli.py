@@ -29,6 +29,10 @@ STANDARD_TAGS = ("g", "ke", "k", "m", "mup", "mdown")
 
 SAMPLED_KINDS = ("initiality", "finality", "grothendieck")
 
+# the least value of each numeric option: below it a run would be empty
+# (no label, no sample) or name no ground set
+LEAST = {"n": 1, "k": 0, "lo": 1, "sample": 1}
+
 
 def _int_list(text: str) -> list[int]:
     return [int(piece) for piece in text.split(",") if piece]
@@ -42,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     enum_p = sub.add_parser("enumerate", help="write sorted key caches")
-    enum_p.add_argument("--tag", action="append",
+    enum_p.add_argument("--tag", action="append", choices=STANDARD_TAGS,
                         help="family tag, repeatable (default: all standard tags)")
     enum_p.add_argument("--lo", type=int, default=1, help="label floor")
     enum_p.add_argument("--n", required=True, type=_int_list,
@@ -57,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("kind", choices=CHECK_KINDS)
     check_p.add_argument("--n", type=int, default=2)
     check_p.add_argument("--k", type=int, default=3)
-    check_p.add_argument("--sub", default=None,
+    check_p.add_argument("--sub", default=None, choices=STANDARD_TAGS,
                          help="sub-family tag for finality/initiality")
-    check_p.add_argument("--ambient", default="ke",
+    check_p.add_argument("--ambient", default="ke", choices=STANDARD_TAGS,
                          help="ambient family tag (default ke)")
     check_p.add_argument("--sample", type=int, default=None,
                          help="sample this many objects instead of all")
@@ -123,6 +127,12 @@ def _run_check(args) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # out-of-range values are usage errors (exit 2), found before any work
+    for name, least in LEAST.items():
+        value = getattr(args, name, None)
+        values = value if isinstance(value, list) else [value]
+        if any(v is not None and v < least for v in values):
+            parser.error(f"--{name} must be at least {least}")
     if args.command == "enumerate":
         tags = args.tag or list(STANDARD_TAGS)
         specs = [

@@ -138,28 +138,6 @@ class SimplicialComplex:
     def simplex_count(self) -> int:
         return len(self.materialize())
 
-    def maximal_masks(self) -> list[int]:
-        simplices = self.materialize()
-        out = []
-        for mask in simplices:
-            if not any((mask | (1 << i)) in simplices
-                       for i in range(len(self.vertices))
-                       if not (mask >> i) & 1):
-                out.append(mask)
-        return sorted(out, key=self._sort_key)
-
-    def _sort_key(self, mask: int) -> tuple:
-        return tuple(iter_bits(mask))
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = ["complex-v1"]
-        lines.append("vertices=" + ";".join(repr(v) for v in self.vertices))
-        maximal = [self.keys_of(m) for m in self.maximal_masks()]
-        lines.append("maximal=" + ";".join(",".join(repr(v) for v in s) for s in maximal))
-        return "\n".join(lines) + "\n"
-
 
 def free_faces(simplices: frozenset[int]) -> dict[int, int]:
     """Map each free face to its unique cofacet.
@@ -241,21 +219,20 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
     unique cofacet.  A stuck terminal is reported as-is, never as a
     counterexample.
 
-    Beside each present simplex's coface count, xors[s] is the XOR of the
-    vertex bits its present cofacets add to s, so a free face's one cofacet
-    is face | xors[face]: removing a simplex uncounts it at each facet and
-    XORs the dropped vertex out of that facet's entry.
+    Beside each present simplex's coface count, from the complex's own
+    `coface_counts()`, xors[s] is the XOR of the vertex bits its present
+    cofacets add to s, so a free face's one cofacet is face | xors[face]:
+    removing a simplex uncounts it at each facet and XORs the dropped
+    vertex out of that facet's entry.
     """
-    simplices = complex_.materialize()
-    counts = dict.fromkeys(simplices, 0)
-    xors = dict.fromkeys(simplices, 0)
-    for mask in simplices:
+    counts = complex_.coface_counts()
+    xors = dict.fromkeys(counts, 0)
+    for mask in counts:
         rest = mask
         while rest:
             b = rest & -rest
             face = mask ^ b
             if face:
-                counts[face] += 1
                 xors[face] ^= b
             rest ^= b
 

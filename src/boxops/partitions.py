@@ -406,26 +406,6 @@ class DriverResult:
     simplex_count: int
 
 
-def _maximal_cliques(adj: Sequence[int], n: int):
-    """Bron-Kerbosch with pivoting over bitmask adjacency."""
-    out = []
-
-    def expand(r: int, p: int, x: int):
-        if not p and not x:
-            out.append(r)
-            return
-        pux = p | x
-        pivot = max(iter_bits(pux), key=lambda v: (adj[v] & p).bit_count())
-        for v in list(iter_bits(p & ~adj[pivot])):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, (1 << n) - 1, 0)
-    return out
-
-
 def _down_rows(words: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
     """Row i is the mask of the words v with preceq(v, words[i]).
 
@@ -453,12 +433,13 @@ class _DriverState:
     """Mutable collapse state over a fixed context; simplices are masks
     over the partitions in context order.
 
-    `count` maps every simplex touched so far to its number of present
-    cofacets, or to -1 once it is removed.  A simplex starts, at its first
-    touch, with every cofacet of the flag complex present: each removal
-    touches the removed simplex's facets, so no cofacet of an untouched
-    simplex is gone.  `heap` holds exactly the present maximal simplices,
-    each as (preorder key, mask, least vertex).
+    `count` maps exactly the present simplices to their numbers of present
+    cofacets, so its keys are the present complex.  It starts as the flag
+    complex's clique-count table (`SimplicialComplex.coface_counts`), a
+    fresh copy of the one `replay_trace` starts from: the enumerator
+    defines the complex, so the driver shares it with the checker, but no
+    removal or freeness code.  `heap` holds exactly the present maximal
+    simplices, each as (preorder key, mask, least vertex).
     """
 
     def __init__(self, ctx: ArcContext):
@@ -468,14 +449,14 @@ class _DriverState:
         self.words = tuple(v.alpha for v in self.parts)
         self.adj = ctx.compatibility_masks()
         self.n = len(self.parts)
-        self.full = (1 << self.n) - 1
         self.down = _down_rows(self.words, ctx.k)
-        self.count: dict[int, int] = {}
+        self.count = ctx.flag_complex().coface_counts()
         self.u0 = ctx.least()
         self.u0_idx = self.words.index(self.u0.alpha)
         self.heap: list = []
-        for mask in _maximal_cliques(self.adj, self.n):
-            self._add_maximal(mask)
+        for mask, c in self.count.items():
+            if not c:
+                self._add_maximal(mask)
 
     def word_list(self, mask: int) -> list[str]:
         return [self.parts[v].word() for v in iter_bits(mask)]
@@ -512,18 +493,19 @@ class _DriverState:
         # the bit tuple is unique, so the mask and li are never compared
         heapq.heappush(self.heap, (-sum(alpha), alpha, tuple(bits), mask, li))
 
-    def not_free(self, face: int, cofacet: int, common: int) -> FalsificationError:
+    def not_free(self, face: int, cofacet: int) -> FalsificationError:
         """The error for a face whose count says it is not free, naming a
-        present coface other than cofacet, found by scanning `common`, the
-        vertices adjacent to all of face's; None when the scan finds none."""
+        present coface other than cofacet, found by scanning the vertices
+        adjacent to all of face's; None when the scan finds none."""
+        common = (1 << self.n) - 1
+        for i in iter_bits(face):
+            common &= self.adj[i]
         other = None
-        while common:
-            b = common & -common
-            up = face | b
-            if up != cofacet and self.count.get(up) != -1:
+        for i in iter_bits(common):
+            up = face | 1 << i
+            if up != cofacet and up in self.count:
                 other = self.word_list(up)
                 break
-            common ^= b
         return FalsificationError(
             "selected face is not free",
             {"face": self.word_list(face), "other_coface": other},
@@ -537,9 +519,12 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
     least-vertex-deleted free face, verifying freeness on the way; any
     violation raises FalsificationError with the offending state.  Trace
     steps are (face, cofacet) masks over the partitions in context order.
+    The driver starts from the flag complex's clique-count table, so like
+    `replay_trace` it refuses a clique above that complex's dimension cap
+    of 24 with CapExceededError.
     """
     st = _DriverState(ctx)
-    adj, count, heap, full = st.adj, st.count, st.heap, st.full
+    count, heap = st.count, st.heap
     steps: list[tuple[int, int]] = []
 
     if paranoid:
@@ -566,42 +551,22 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
                 {"vertex": st.parts[v0].word(), "maximal": len(heap) + 1},
             )
         F = V ^ (1 << v0)
-        # rows of F's vertices; suffix[i] is the AND of rows[i:]
-        rows = []
+        # V is present, so F is free exactly when V is its one cofacet
+        if count.get(F) != 1:
+            raise st.not_free(F, V)
+        del count[V], count[F]
+        steps.append((F, V))
+        # uncount V at its facets V - w and F at its facets F - w, for w in F
         rest = F
         while rest:
             b = rest & -rest
-            rows.append((b, adj[b.bit_length() - 1]))
             rest ^= b
-        suffix = [full] * (len(rows) + 1)
-        for i in range(len(rows) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] & rows[i][1]
-        # V is present, so F is free exactly when V is its one cofacet
-        if count.get(F, suffix[0].bit_count()) != 1:
-            raise st.not_free(F, V, suffix[0])
-        count[V] = count[F] = -1
-        steps.append((F, V))
-        # uncount V at its facets V - w and F at its facets F - w, for w in
-        # F; the cofacets of F - w are prefix & suffix[i + 1], and those of
-        # V - w the ones of them adjacent to v0
-        row0 = adj[v0]
-        prefix = full
-        for i, (b, row) in enumerate(rows):
-            common = prefix & suffix[i + 1]
-            prefix &= row
-            W = V ^ b
-            c = count.get(W)
-            c = (common & row0).bit_count() - 1 if c is None else c - 1
-            count[W] = c
-            if not c:
-                st._add_maximal(W)
-            W = F ^ b
-            if W:
-                c = count.get(W)
-                c = common.bit_count() - 1 if c is None else c - 1
-                count[W] = c
-                if not c:
-                    st._add_maximal(W)
+            for W in (V ^ b, F ^ b):
+                if W:
+                    c = count[W] - 1
+                    count[W] = c
+                    if not c:
+                        st._add_maximal(W)
         if paranoid:
             _validate_good_subcomplex(st)
 
@@ -623,12 +588,12 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
 def _validate_good_subcomplex(st: _DriverState):
     """Exhaustive good-subcomplex validation (paranoid mode).
 
-    Checks downward closure, the driver's coface counts against the present
+    The present complex is the keys of the driver's count table.  Checks
+    downward closure, the driver's coface counts against the present
     complex, least vertices of maximal simplices, and closure under
     adjoining minimal compatible elements strictly below a simplex.
     """
-    flag = SimplicialComplex.flag(st.words, st.adj, dim_cap=st.n)
-    present = flag.materialize() - {m for m, c in st.count.items() if c < 0}
+    present = st.count.keys()
     for mask in present:
         for i in iter_bits(mask):
             sub = mask & ~(1 << i)
@@ -639,11 +604,11 @@ def _validate_good_subcomplex(st: _DriverState):
                 )
     cofacets = _coface_counts(present)
     for mask, c in st.count.items():
-        if c >= 0 and cofacets.get(mask) != c:
+        if cofacets[mask] != c:
             raise FalsificationError(
                 "coface count disagrees with the present complex",
                 {"simplex": st.word_list(mask), "count": c,
-                 "present_cofacets": cofacets.get(mask)},
+                 "present_cofacets": cofacets[mask]},
             )
     for mask in present:
         has_coface = any(

@@ -349,6 +349,39 @@ def oracle_partitions(k, closed_arcs):
     return sorted(out)
 
 
+def oracle_clique_counts(adj, n):
+    """Every vertex subset of 0..n-1 whose members are pairwise adjacent,
+    mapped to the number of vertices adjacent to all of its members."""
+    out = {}
+    for mask in range(1, 1 << n):
+        verts = _bits(mask)
+        if all(adj[a] >> b & 1 for a, b in combinations(verts, 2)):
+            out[mask] = sum(1 for y in range(n)
+                            if all(adj[y] >> v & 1 for v in verts))
+    return out
+
+
+def maximal_cliques(adj, n):
+    """The maximal cliques of a graph on 0..n-1 given as adjacency masks:
+    Bron-Kerbosch with pivoting, a clique search of its own beside the
+    package's clique-count table."""
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        pivot = max(_bits(p | x), key=lambda v: (adj[v] & p).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            bit = 1 << v
+            expand(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    expand(0, (1 << n) - 1, 0)
+    return out
+
+
 def oracle_collapse_driver(ctx):
     """The collapse driver on a set of removed simplices: a simplex is
     maximal when every coface its vertices' common neighbours give is
@@ -360,7 +393,7 @@ def oracle_collapse_driver(ctx):
     """
     import heapq
 
-    from boxops.partitions import _maximal_cliques, least_element
+    from boxops.partitions import least_element
 
     parts = ctx.partitions()
     index = {v: i for i, v in enumerate(parts)}
@@ -393,7 +426,7 @@ def oracle_collapse_driver(ctx):
         maximal[mask] = index[least]
         heapq.heappush(heap, (-sum(least.alpha), least.alpha, tuple(_bits(mask)), mask))
 
-    for mask in _maximal_cliques(adj, len(parts)):
+    for mask in maximal_cliques(adj, len(parts)):
         add_maximal(mask)
     steps = []
     while not (len(maximal) == 1 and next(iter(maximal)).bit_count() == 1):

@@ -150,7 +150,7 @@ def test_sampled_sweep_requires_seed():
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("a check ran without its seed")
+    raise AssertionError("a sweep ran past a usage error")
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,6 +169,30 @@ def test_missing_seed_is_a_usage_error(argv, monkeypatch, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "requires --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "initiality", "--sub", "foo"], "--sub"),
+    (["check", "finality", "--ambient", "bar"], "--ambient"),
+    (["enumerate", "--tag", "baz", "--n", "2", "--k", "3"], "--tag"),
+    (["enumerate", "--lo", "0", "--n", "2", "--k", "3"], "--lo"),
+    (["enumerate", "--n", "2,0", "--k", "3"], "--n"),
+    (["enumerate", "--n", "2", "--k", "-1"], "--k"),
+    (["check", "initiality", "--n", "0"], "--n"),
+    (["check", "collapse", "--n", "0"], "--n"),
+    (["check", "collapse", "--k", "-1"], "--k"),
+    (["check", "initiality", "--sample", "0", "--seed", "1"], "--sample"),
+])
+def test_bad_option_value_is_a_usage_error(argv, option, monkeypatch, capsys):
+    # refused before any sweep runs, with argparse's usage exit code and
+    # not the FAIL code 1 or an all-PASS over no records
+    for name in ("run_enumerate", "run_initiality", "run_finality",
+                 "run_collapse"):
+        monkeypatch.setattr(checks, name, _no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
 
 
 def test_unseeded_sampled_duality_is_refused(tmp_path):
@@ -403,14 +427,3 @@ def test_poset_sweep_jobs_do_not_change_output():
     serial = checks.run_initiality(2, 3)
     parallel = checks.run_initiality(2, 3, jobs=2)
     assert strip_wall(serial) == strip_wall(parallel)
-
-
-def test_complex_serialization_shape():
-    from boxops.complexes import SimplicialComplex
-
-    c = SimplicialComplex.from_simplices(range(3), [(0, 1), (2,)])
-    text = c.to_text()
-    lines = text.splitlines()
-    assert lines[0] == "complex-v1"
-    assert lines[1] == "vertices=0;1;2"
-    assert lines[2] == "maximal=0,1;2"

@@ -21,7 +21,7 @@ from boxops.homology import reduced_homology, smith_diagonal
 from boxops.partitions import all_contexts
 
 from conftest import family_members, random_poset
-from oracles import oracle_greedy_collapse
+from oracles import oracle_clique_counts, oracle_greedy_collapse
 
 
 def full_simplex(m):
@@ -85,6 +85,27 @@ def test_coface_counts_equal_the_counts_over_the_materialized_family():
             continue
         assert make().coface_counts() == want
     assert 20 < refused < 180
+
+
+def test_clique_counts_equal_brute_force():
+    # the driver, the replay and greedy_collapse all read this one
+    # enumerator, so it is held to the definition: every k <= 3
+    # compatibility graph, then seeded random graphs on at most 12 vertices
+    graphs = [ctx.compatibility_masks() for k in range(4) for ctx in all_contexts(k)]
+    rng = random.Random(1919)
+    for _ in range(60):
+        n, density = rng.randint(0, 12), rng.random()
+        adj = [0] * n
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < density:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        graphs.append(adj)
+    for adj in graphs:
+        n = len(adj)
+        got = SimplicialComplex.flag(range(n), adj, dim_cap=n)._clique_counts()
+        assert got == oracle_clique_counts(adj, n)
 
 
 def test_free_faces_of_full_simplex():

@@ -27,6 +27,7 @@ from boxops.textform import from_box_expr
 from conftest import seeded_contexts
 from oracles import (
     generic_cycle_search,
+    maximal_cliques,
     naive_closure,
     oracle_collapse_driver,
     oracle_compatibility_masks,
@@ -428,14 +429,14 @@ def test_driver_equals_the_removed_set_oracle():
 def _state_and_facet(ctx):
     """A fresh driver state and a facet of a largest maximal simplex."""
     st = partitions._DriverState(ctx)
-    top = max(partitions._maximal_cliques(st.adj, st.n), key=int.bit_count)
+    top = max(maximal_cliques(st.adj, st.n), key=int.bit_count)
     return st, top ^ (top & -top)
 
 
 def test_paranoid_mode_sees_a_removed_face_under_a_present_simplex():
     st, face = _state_and_facet(ctx_free(3))
     partitions._validate_good_subcomplex(st)
-    st.count[face] = -1
+    del st.count[face]
     with pytest.raises(FalsificationError, match="present simplex with a removed face"):
         partitions._validate_good_subcomplex(st)
 
@@ -478,6 +479,18 @@ def test_driver_names_the_other_coface_of_a_face_that_is_not_free(monkeypatch):
     assert err.value.state["other_coface"] in (["11", "12"], ["11", "21"])
 
 
+def test_the_other_coface_named_is_never_a_removed_one():
+    st = partitions._DriverState(ctx_free(3))
+    face = next(f for f, c in st.count.items() if c >= 3)
+    ups = sorted((u for u in st.count if u & face == face and (u ^ face).bit_count() == 1),
+                 key=lambda u: u ^ face)
+    del st.count[ups[0]]
+    assert st.not_free(face, ups[1]).state["other_coface"] == st.word_list(ups[2])
+    for u in ups[2:]:
+        del st.count[u]
+    assert st.not_free(face, ups[1]).state["other_coface"] is None
+
+
 def test_paranoid_mode_keeps_the_definitional_least_vertex(monkeypatch):
     # paranoid validation reads least_element, never the driver's order rows
     calls = []
@@ -501,7 +514,7 @@ def test_least_vertex_equals_least_element_on_maximal_cliques():
     for k in range(5):
         for ctx in all_contexts(k):
             st = partitions._DriverState(ctx)
-            for mask in partitions._maximal_cliques(st.adj, st.n):
+            for mask in maximal_cliques(st.adj, st.n):
                 members = [st.parts[i] for i in iter_bits(mask)]
                 least = least_element(members)
                 assert least in members
