@@ -10,7 +10,8 @@ FORMAT_VERSION = "boxops-cache-v1"
 
 
 class CacheVersionError(ValueError):
-    """The cache file was written by an incompatible format version."""
+    """The cache file was written by an incompatible format version, or is
+    malformed."""
 
 
 def cache_filename(fam: Family, n: int, k: int) -> str:
@@ -38,11 +39,15 @@ def read_cache(path) -> tuple[dict, list[int]]:
         raise CacheVersionError(
             f"{path} does not start with {FORMAT_VERSION}; refusing to reuse"
         )
-    meta = {}
-    for item in lines[1].split():
-        key, value = item.split("=")
-        meta[key] = value if key == "tag" else int(value)
-    keys = [int(line) for line in lines[2:] if line]
-    if len(keys) != meta["count"]:
+    try:
+        meta = {}
+        for item in lines[1].split():
+            key, value = item.split("=")
+            meta[key] = value if key == "tag" else int(value)
+        keys = [int(line) for line in lines[2:] if line]
+        count = meta["count"]
+    except (IndexError, KeyError, ValueError) as exc:
+        raise CacheVersionError(f"{path} is malformed; refusing to reuse") from exc
+    if len(keys) != count:
         raise CacheVersionError(f"{path} count header disagrees with body")
     return meta, keys

@@ -1,111 +1,47 @@
-"""Finite abstract simplicial complexes, free faces and collapse engines.
+"""Finite abstract simplicial complexes and collapse engines.
 
-Complexes are either explicit simplex families or flag-backed (simplices =
-cliques of a graph), with materialization on demand under a dimension cap.
-Vertices are sorted keys; internally a simplex is a bitmask over them.
+A complex is the flag complex of a symmetric, irreflexive relation given as
+bit rows: its simplices are the cliques, each a bitmask over the vertices in
+the order the caller gave them.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bits import iter_bits
 from .errors import CapExceededError, IntegrityError
 
-DEFAULT_DIM_CAP = 8
-
 
 class SimplicialComplex:
-    """A finite complex over sorted vertex keys."""
+    """The flag complex of bit rows over `vertices`, kept in the caller's
+    order: bit j of adjacency[i] says vertices[i] and vertices[j] are
+    adjacent.  A clique of dimension above `dim_cap` refuses instead of
+    truncating."""
 
-    __slots__ = ("vertices", "index", "adjacency", "dim_cap", "_simplices")
+    __slots__ = ("vertices", "adjacency", "dim_cap")
 
-    def __init__(self, vertices, adjacency=None, simplices=None, dim_cap=DEFAULT_DIM_CAP):
-        vertices = tuple(sorted(vertices))
+    def __init__(self, vertices: Sequence, adjacency: Sequence[int], dim_cap: int):
+        vertices, adjacency = tuple(vertices), tuple(adjacency)
+        for i, row in enumerate(adjacency):
+            if (row >> i) & 1:
+                raise ValueError("adjacency must be irreflexive")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "index", {v: i for i, v in enumerate(vertices)})
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "dim_cap", dim_cap)
-        object.__setattr__(self, "_simplices", simplices)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
-    @classmethod
-    def flag(cls, vertices, adjacency_masks: Sequence[int] | None = None,
-             edges: Iterable[tuple] | None = None, dim_cap: int = DEFAULT_DIM_CAP):
-        """Flag complex of a symmetric relation; simplices are the cliques.
-
-        Adjacency can come as bitmasks aligned with the *sorted* vertex
-        order, or as an edge list over keys.
-        """
-        vertices = tuple(sorted(vertices))
-        index = {v: i for i, v in enumerate(vertices)}
-        if adjacency_masks is None:
-            masks = [0] * len(vertices)
-            for a, b in edges or ():
-                i, j = index[a], index[b]
-                if i == j:
-                    continue
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            adjacency_masks = masks
-        else:
-            adjacency_masks = list(adjacency_masks)
-            for i, row in enumerate(adjacency_masks):
-                if (row >> i) & 1:
-                    raise ValueError("adjacency must be irreflexive")
-        return cls(vertices, adjacency=tuple(adjacency_masks), dim_cap=dim_cap)
-
-    @classmethod
-    def from_simplices(cls, vertices, simplices: Iterable[Iterable], dim_cap: int = DEFAULT_DIM_CAP):
-        """Explicit complex from a simplex family, closed downward."""
-        vertices = tuple(sorted(vertices))
-        index = {v: i for i, v in enumerate(vertices)}
-        masks: set[int] = set()
-        stack = []
-        for s in simplices:
-            mask = 0
-            for v in s:
-                mask |= 1 << index[v]
-            if mask:
-                stack.append(mask)
-        while stack:
-            mask = stack.pop()
-            if mask in masks or mask == 0:
-                continue
-            masks.add(mask)
-            for i in iter_bits(mask):
-                face = mask & ~(1 << i)
-                if face and face not in masks:
-                    stack.append(face)
-        return cls(vertices, simplices=frozenset(masks), dim_cap=dim_cap)
-
-    # -- access ---------------------------------------------------------------
-
-    def keys_of(self, mask: int) -> tuple:
-        return tuple(self.vertices[i] for i in iter_bits(mask))
-
     def materialize(self) -> frozenset[int]:
-        """All simplices as masks.  Flag complexes enumerate their cliques;
-        a clique above the dimension cap raises instead of truncating."""
-        if self._simplices is None:
-            object.__setattr__(self, "_simplices", frozenset(self._clique_counts()))
-        return self._simplices
+        """All simplices as masks; a clique above the dimension cap raises."""
+        return frozenset(self.coface_counts())
 
     def coface_counts(self) -> dict[int, int]:
-        """A fresh table of every simplex's number of cofacets.  A flag
-        complex takes it from its clique enumeration, without materializing;
-        an explicit one counts over its simplex family."""
-        if self.adjacency is None:
-            return _coface_counts(self._simplices)
-        return self._clique_counts()
-
-    def _clique_counts(self) -> dict[int, int]:
-        """The one clique enumerator: each clique of the flag complex mapped
-        to its number of cofacets, the vertices adjacent to all of its own.
+        """The one clique enumerator: a fresh table mapping each clique to
+        its number of cofacets, the vertices adjacent to all of its own.
 
         `cand` is the common neighbourhood of `mask`; a clique is grown only
         by vertices above its highest one, so each is reached once.  A clique
@@ -134,29 +70,6 @@ class SimplicialComplex:
 
         grow(0, 0, (1 << len(self.vertices)) - 1, 0)
         return out
-
-    def simplex_count(self) -> int:
-        return len(self.materialize())
-
-
-def free_faces(simplices: frozenset[int]) -> dict[int, int]:
-    """Map each free face to its unique cofacet.
-
-    A face is free exactly when it has one present coface.
-    """
-    counts: dict[int, int] = {}
-    cofacet: dict[int, int] = {}
-    for mask in simplices:
-        for i in iter_bits(mask):
-            face = mask & ~(1 << i)
-            if face:
-                counts[face] = counts.get(face, 0) + 1
-                cofacet[face] = mask
-    return {
-        face: cofacet[face]
-        for face, c in counts.items()
-        if c == 1 and face in simplices
-    }
 
 
 def _coface_counts(simplices: frozenset[int]) -> dict[int, int]:
@@ -194,22 +107,23 @@ class CollapseTrace:
     """A replayable sequence of elementary collapses.
 
     Each step is a (free_face, cofacet) pair of masks over `vertices`; the
-    terminal field lists the surviving complex's maximal simplices as masks.
+    terminal field lists the surviving complex's maximal simplices as masks,
+    which `replay_trace` checks, so `collapsed_to_point` is read off them.
     `keys` renders a mask as vertex keys.
     """
 
     vertices: tuple
     steps: tuple
     terminal_maximal: tuple
-    collapsed_to_point: bool
+
+    @property
+    def collapsed_to_point(self) -> bool:
+        """Whether the one surviving maximal simplex is a single vertex."""
+        maximal = self.terminal_maximal
+        return len(maximal) == 1 and maximal[0].bit_count() == 1
 
     def keys(self, mask: int) -> tuple:
         return tuple(self.vertices[i] for i in iter_bits(mask))
-
-    def terminal_vertex(self):
-        if not self.collapsed_to_point:
-            return None
-        return self.keys(self.terminal_maximal[0])[0]
 
 
 def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
@@ -275,12 +189,10 @@ def greedy_collapse(complex_: SimplicialComplex) -> CollapseTrace:
         steps.append((face, cof))
 
     maximal = sorted((m for m, c in counts.items() if c == 0), key=face_key)
-    collapsed = len(counts) == 1 and next(iter(counts)).bit_count() == 1
     return CollapseTrace(
         vertices=complex_.vertices,
         steps=tuple(steps),
         terminal_maximal=tuple(maximal),
-        collapsed_to_point=collapsed,
     )
 
 
@@ -290,7 +202,7 @@ def replay_trace(complex_: SimplicialComplex, trace: CollapseTrace) -> None:
     Raises IntegrityError on the first illegal step or on a terminal
     mismatch.  This checker is independent of whatever engine produced the
     trace: it decides freeness from the complex's own coface counts alone,
-    which a flag complex takes from its adjacency.
+    which the clique enumerator takes from its adjacency.
     """
     if tuple(trace.vertices) != complex_.vertices:
         raise IntegrityError("trace vertices differ from the complex's")

@@ -58,7 +58,7 @@ def certify_contractible(poset: Poset) -> Verdict:
             CONTRACTIBLE, "dismantle", {"size": m, "removals": len(steps)}
         )
     try:
-        complex_ = core.order_complex(dim_cap=48)
+        complex_ = core.order_complex()
         trace = greedy_collapse(complex_)
     except CapExceededError as exc:
         return Verdict(FAILED, None, {"size": m, "error": str(exc)})
@@ -75,7 +75,7 @@ def certify_contractible(poset: Poset) -> Verdict:
                 "collapse_steps": len(trace.steps),
             },
         )
-    report = reduced_homology(complex_)
+    report = reduced_homology(complex_.materialize())
     if report.trivial():
         return Verdict(
             HOMOLOGY_ONLY,

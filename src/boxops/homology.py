@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bits import iter_bits
-from .complexes import SimplicialComplex
 from .errors import CapExceededError, IntegrityError
 
 CELL_CAP = 40000
@@ -139,14 +138,14 @@ class HomologyReport:
         ]
 
 
-def reduced_homology(complex_: SimplicialComplex) -> HomologyReport:
-    """Reduced homology of a materialized complex in every dimension, with
-    an Euler characteristic cross-check.
+def reduced_homology(simplices: frozenset[int]) -> HomologyReport:
+    """Reduced homology, in every dimension, of a simplex family closed under
+    taking faces (each simplex a vertex mask), with an Euler characteristic
+    cross-check.
 
-    Refuses loudly when the complex exceeds CELL_CAP cells; there is no
+    Refuses loudly when the family exceeds CELL_CAP cells; there is no
     silent truncation.
     """
-    simplices = complex_.materialize()
     if not simplices:
         raise ValueError("homology of the empty complex is not provided")
     if len(simplices) > CELL_CAP:

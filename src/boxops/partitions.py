@@ -130,9 +130,8 @@ class ArcContext:
     def flag_complex(self) -> SimplicialComplex:
         """The compatibility flag complex on the admissible partitions, up to
         dimension 24."""
-        parts = self.partitions()
-        return SimplicialComplex.flag(
-            tuple(v.alpha for v in parts), self.compatibility_masks(), dim_cap=24
+        return SimplicialComplex(
+            tuple(v.alpha for v in self.partitions()), self.compatibility_masks(), dim_cap=24
         )
 
     def least(self) -> OrderedPartition:
@@ -574,7 +573,6 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
         vertices=st.words,
         steps=tuple(steps),
         terminal_maximal=(1 << st.u0_idx,),
-        collapsed_to_point=True,
     )
     return DriverResult(
         trace=trace,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .bits import iter_bits
+from .complexes import SimplicialComplex
 from .errors import IntegrityError
 
 
@@ -149,14 +150,10 @@ class Poset:
             (self.up[i] | down[i]) & ~(1 << i) for i in range(len(self.elements))
         ]
 
-    def order_complex(self, dim_cap: int | None = None):
-        """The flag complex of the comparability graph (chains = cliques)."""
-        from .complexes import DEFAULT_DIM_CAP, SimplicialComplex
-
-        cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
-        return SimplicialComplex.flag(
-            self.elements, self.comparability_masks(), dim_cap=cap
-        )
+    def order_complex(self) -> SimplicialComplex:
+        """The flag complex of the comparability graph (chains = cliques),
+        over the elements in poset order, up to dimension 48."""
+        return SimplicialComplex(self.elements, self.comparability_masks(), dim_cap=48)
 
     # -- dismantling --------------------------------------------------------
 

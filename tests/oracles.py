@@ -302,7 +302,7 @@ def oracle_greedy_collapse(complex_):
     present cofacet, remove that cofacet and the face, repeat.
 
     Returns the steps (face, cofacet) and the terminal maximal simplices,
-    as masks over the complex's sorted vertices.
+    as masks over the complex's vertices.
     """
     import heapq
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from boxops import checks, cli
-from boxops.cache import CacheVersionError, read_cache, write_cache
+from boxops.cache import FORMAT_VERSION, CacheVersionError, read_cache, write_cache
 from boxops.graphs import KE, Family
 from boxops.partitions import ArcContext, collapse_driver
 from boxops.reports import (
@@ -44,6 +44,18 @@ def test_cache_round_trip_and_idempotence(tmp_path):
 def test_cache_version_guard(tmp_path):
     path = tmp_path / "bogus.keys"
     path.write_text("other-version\ntag=ke lo=1 n=2 k=2 count=0\n")
+    with pytest.raises(CacheVersionError):
+        read_cache(path)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [None, "tag=ke lo=1 n=2 k=2", "tag=ke lo=1 n=2 k=2 count=x"],
+    ids=["header-only", "no-count", "count-not-int"],
+)
+def test_malformed_cache_is_refused(tmp_path, meta):
+    path = tmp_path / "ke-n2-k2.keys"
+    path.write_text("\n".join([FORMAT_VERSION] + ([meta] if meta else [])) + "\n")
     with pytest.raises(CacheVersionError):
         read_cache(path)
 

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from boxops import contractibility
+from boxops.bits import iter_bits
 from boxops.complexes import (
     CollapseTrace,
     SimplicialComplex,
     _coface_counts,
-    free_faces,
     greedy_collapse,
     replay_trace,
 )
@@ -24,12 +24,26 @@ from conftest import family_members, random_poset
 from oracles import oracle_clique_counts, oracle_greedy_collapse
 
 
-def full_simplex(m):
-    return SimplicialComplex.from_simplices(range(m), [tuple(range(m))])
+def full_simplex(m, dim_cap=None):
+    full = (1 << m) - 1
+    return SimplicialComplex(range(m), [full ^ 1 << i for i in range(m)],
+                             dim_cap=m if dim_cap is None else dim_cap)
 
 
-def triangle_boundary():
-    return SimplicialComplex.from_simplices(range(3), [(0, 1), (1, 2), (0, 2)])
+def four_cycle():
+    """0-1-2-3-0: no face is free, so the greedy collapse is stuck."""
+    return SimplicialComplex(range(4), [0b1010, 0b0101, 0b1010, 0b0101], dim_cap=1)
+
+
+def family(*simplices):
+    """The given simplices over vertex indices, as masks, with all their faces."""
+    out = set()
+    for simplex in simplices:
+        mask = sub = sum(1 << v for v in simplex)
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & mask
+    return frozenset(out)
 
 
 def test_antichain_order_complex_is_points():
@@ -37,7 +51,7 @@ def test_antichain_order_complex_is_points():
 
     p = Poset.from_leq(tuple(range(4)), lambda a, b: a == b)
     c = p.order_complex()
-    assert c.simplex_count() == 4
+    assert len(c.materialize()) == 4
     assert all(m.bit_count() == 1 for m in c.materialize())
 
 
@@ -46,7 +60,7 @@ def test_total_order_order_complex_is_full_simplex():
 
     p = Poset.from_leq(tuple(range(4)), lambda a, b: a <= b)
     c = p.order_complex()
-    assert c.simplex_count() == 2**4 - 1
+    assert len(c.materialize()) == 2**4 - 1
 
 
 def test_order_complex_blind_to_opposite():
@@ -57,12 +71,24 @@ def test_order_complex_blind_to_opposite():
     assert p.order_complex().materialize() == p.opposite().order_complex().materialize()
 
 
+def test_order_complex_keeps_the_poset_order():
+    from boxops.posets import Poset
+
+    p = Poset.from_leq((2, 0, 1), lambda a, b: a == b or (a, b) == (2, 0))
+    c = p.order_complex()
+    assert c.vertices == (2, 0, 1)
+    edges = [m for m in c.materialize() if m.bit_count() == 2]
+    assert [tuple(c.vertices[i] for i in iter_bits(m)) for m in edges] == [(2, 0)]
+
+
 def test_flag_materialize_cap():
-    c = SimplicialComplex.flag(
-        range(12), edges=[(i, j) for i in range(12) for j in range(i + 1, 12)], dim_cap=4
-    )
     with pytest.raises(CapExceededError):
-        c.materialize()
+        full_simplex(12, dim_cap=4).materialize()
+
+
+def test_adjacency_rows_are_irreflexive():
+    with pytest.raises(ValueError, match="irreflexive"):
+        SimplicialComplex(range(2), [0b10, 0b11], dim_cap=1)
 
 
 def test_coface_counts_equal_the_counts_over_the_materialized_family():
@@ -73,7 +99,8 @@ def test_coface_counts_equal_the_counts_over_the_materialized_family():
     rng = random.Random(1515)
     for _ in range(200):
         poset, cap = random_poset(rng, rng.randint(1, 14)), rng.randint(0, 6)
-        complexes.append(lambda poset=poset, cap=cap: poset.order_complex(dim_cap=cap))
+        complexes.append(lambda poset=poset, cap=cap: SimplicialComplex(
+            poset.elements, poset.comparability_masks(), dim_cap=cap))
     refused = 0
     for make in complexes:
         try:
@@ -104,16 +131,8 @@ def test_clique_counts_equal_brute_force():
         graphs.append(adj)
     for adj in graphs:
         n = len(adj)
-        got = SimplicialComplex.flag(range(n), adj, dim_cap=n)._clique_counts()
+        got = SimplicialComplex(range(n), adj, dim_cap=n).coface_counts()
         assert got == oracle_clique_counts(adj, n)
-
-
-def test_free_faces_of_full_simplex():
-    c = full_simplex(3)
-    ff = free_faces(c.materialize())
-    # every codim-1 face of the top cell is free, nothing else
-    assert set(ff.values()) == {0b111}
-    assert all(f.bit_count() == 2 for f in ff)
 
 
 def test_greedy_collapse_full_simplex():
@@ -123,12 +142,26 @@ def test_greedy_collapse_full_simplex():
     replay_trace(full_simplex(5), trace)
 
 
-def test_greedy_collapse_triangle_boundary_inconclusive():
-    c = triangle_boundary()
+def test_greedy_collapse_four_cycle_inconclusive():
+    c = four_cycle()
     trace = greedy_collapse(c)
     assert not trace.collapsed_to_point
     assert not trace.steps
-    assert len(trace.terminal_maximal) == 3  # unchanged input
+    assert len(trace.terminal_maximal) == 4  # unchanged input
+
+
+def test_collapsed_to_point_is_read_off_the_replayed_terminal():
+    c = four_cycle()
+    stuck = greedy_collapse(c)
+    replay_trace(c, stuck)
+    with pytest.raises(TypeError):
+        _tampered(stuck, collapsed_to_point=True)
+    # a trace can claim a point only by naming it as the terminal, which
+    # the replay checks against the complex
+    claimed = _tampered(stuck, terminal_maximal=(0b0001,))
+    assert claimed.collapsed_to_point
+    with pytest.raises(IntegrityError, match="terminal complex"):
+        replay_trace(c, claimed)
 
 
 def test_replay_rejects_tampered_trace():
@@ -138,7 +171,6 @@ def test_replay_rejects_tampered_trace():
         vertices=good.vertices,
         steps=good.steps[1:],  # skip the first step; later steps now illegal
         terminal_maximal=good.terminal_maximal,
-        collapsed_to_point=good.collapsed_to_point,
     )
     with pytest.raises(IntegrityError):
         replay_trace(c, bad)
@@ -163,7 +195,7 @@ def test_greedy_collapse_equals_scan_oracle(monkeypatch):
                            (check_homotopy_final, "mup"), (check_homotopy_final, "m")]:
             check(ambient, family_members(tag, n, k))
     assert len(cores) >= 40
-    for c in cores + [triangle_boundary()]:
+    for c in cores + [four_cycle()]:
         trace = greedy_collapse(c)
         assert (trace.steps, trace.terminal_maximal) == oracle_greedy_collapse(c)
 
@@ -175,7 +207,7 @@ def test_greedy_collapse_steps_are_mask_pairs():
     assert [tuple(map(trace.keys, step)) for step in trace.steps] == [
         ((0, 1), (0, 1, 2)), ((0,), (0, 2)), ((1,), (1, 2))
     ]
-    assert trace.terminal_vertex() == 2
+    assert trace.keys(trace.terminal_maximal[0]) == (2,)
 
 
 def _tampered(good, **fields):
@@ -183,7 +215,6 @@ def _tampered(good, **fields):
         "vertices": good.vertices,
         "steps": good.steps,
         "terminal_maximal": good.terminal_maximal,
-        "collapsed_to_point": good.collapsed_to_point,
         **fields,
     })
 
@@ -214,19 +245,17 @@ def test_replay_rejects_each_illegal_trace(fields, message):
 
 
 def test_single_vertex_trivial():
-    c = SimplicialComplex.from_simplices([0], [(0,)])
-    assert reduced_homology(c).trivial()
+    assert reduced_homology(family((0,))).trivial()
 
 
 def test_triangle_boundary_is_circle():
-    rep = reduced_homology(triangle_boundary())
+    rep = reduced_homology(family((0, 1), (1, 2), (0, 2)))
     assert rep.betti == {0: 0, 1: 1}
     assert rep.torsion == {0: [], 1: []}
 
 
 def test_two_components():
-    c = SimplicialComplex.from_simplices(range(4), [(0, 1), (2, 3)])
-    rep = reduced_homology(c)
+    rep = reduced_homology(family((0, 1), (2, 3)))
     assert rep.betti[0] == 1
 
 
@@ -235,7 +264,7 @@ def test_projective_plane_torsion():
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
     ]
-    rep = reduced_homology(SimplicialComplex.from_simplices(range(6), rp2))
+    rep = reduced_homology(family(*rp2))
     assert rep.betti == {0: 0, 1: 0, 2: 0}
     assert rep.torsion[1] == [2]
 
@@ -243,7 +272,7 @@ def test_projective_plane_torsion():
 def test_sphere_betti():
     # boundary of the 3-simplex
     faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    rep = reduced_homology(SimplicialComplex.from_simplices(range(4), faces))
+    rep = reduced_homology(family(*faces))
     assert rep.betti == {0: 0, 1: 0, 2: 1}
 
 
@@ -258,7 +287,7 @@ def test_smith_diagonal_divisibility():
 def test_extended_complete_graph_poset_on_two_elements_is_circle():
     objs = list(family_members("ke", 2, 2))
     poset = object_poset(objs)
-    rep = reduced_homology(poset.order_complex())
+    rep = reduced_homology(poset.order_complex().materialize())
     assert rep.betti == {0: 0, 1: 1}
 
 
@@ -272,19 +301,14 @@ def test_collapse_preserves_homology_seeded():
             size = rng.randint(1, 4)
             simplices.append(tuple(rng.sample(range(nverts), size)))
         simplices.extend((v,) for v in range(nverts))
-        c = SimplicialComplex.from_simplices(range(nverts), simplices)
-        ff = free_faces(c.materialize())
-        if not ff:
+        c = family(*simplices)
+        free = [m for m, count in _coface_counts(c).items() if count == 1]
+        if not free:
             continue
-        face = min(ff, key=lambda m: tuple(i for i in range(nverts) if (m >> i) & 1))
-        cof = ff[face]
+        face = min(free, key=lambda m: tuple(i for i in range(nverts) if (m >> i) & 1))
+        cof = next(m for m in c if m & face == face and (m ^ face).bit_count() == 1)
         before = reduced_homology(c)
-        survivors = [
-            c.keys_of(m) for m in c.materialize() if m not in (face, cof)
-        ]
-        after = reduced_homology(
-            SimplicialComplex.from_simplices(range(nverts), survivors)
-        )
+        after = reduced_homology(c - {face, cof})
         dims = set(before.betti) | set(after.betti)
         for d in dims:
             assert before.betti.get(d, 0) == after.betti.get(d, 0)
