@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from . import graphs
@@ -24,8 +25,8 @@ from .graphs import (
     restrict,
     shift_labels,
 )
-from .partitions import ArcContext, OrderedPartition
-from .posets import Poset, poset_isomorphic, poset_product
+from .partitions import ArcContext
+from .posets import Poset, poset_isomorphic
 
 
 @lru_cache(maxsize=256)
@@ -35,74 +36,117 @@ def family_tuple(tag: str, n: int, k: int, lo: int = 1) -> tuple[GraphObject, ..
 
 
 @dataclass(frozen=True)
-class PosetFunctor:
-    """A contravariant functor from a base poset to posets.
+class BlockFiberFunctor:
+    """A contravariant poset functor over partitions, held by its blocks.
 
-    transports[(a, b)] for a <= b is a tuple with one fiber(a) position per
-    fiber(b) position.  Identity and composition laws plus monotonicity are
-    checked at construction.
+    fibers[A] is block A's fiber, and restrictions[A, B], for the block B
+    of b holding a block A of a over some pair a <= b, gives the fib(A)
+    position of each fib(B) position.  Fiber(a) is the product of the
+    fibers of blocks[a], and t_ab(y)_A = r[A, B](y_B).  Construction checks
+    the block laws: r[B, B] is the identity, every base pair refines, each
+    r[A, B] lands in fib(A) and is monotone, and r[A, B] r[B, C] = r[A, C].
+    They give the functor laws: t_aa(y)_A = r[A, A](y_A) = y_A; y <= y'
+    is y_B <= y'_B for every B, so r[A, B](y_B) <= r[A, B](y'_B); and for
+    a <= b <= c, with A inside B inside C, t_ab(t_bc(z))_A =
+    r[A, B](r[B, C](z_C)) = r[A, C](z_C) = t_ac(z)_A.
     """
 
     base: Poset
+    blocks: dict
     fibers: dict
-    transports: dict
+    restrictions: dict
 
     def __post_init__(self):
-        base, fibers, transports = self.base, self.fibers, self.transports
-        for a in base.elements:
-            if transports.get((a, a)) != tuple(range(len(fibers[a]))):
-                raise IntegrityError(f"identity transport at {a!r} is not identity")
-        above = {
-            a: [base.elements[j] for j in iter_bits(row)]
-            for a, row in zip(base.elements, base.up)
-        }
-        for a in base.elements:
-            for b in above[a]:
-                fa, fb, t = fibers[a], fibers[b], transports[(a, b)]
-                if len(t) != len(fb) or not all(0 <= x < len(fa) for x in t):
-                    raise IntegrityError(f"transport {a!r}<={b!r} leaves the fiber")
-                # the up row of y carried by t lies in the up row of t[y]
-                for y, up_y in enumerate(fb.up):
+        base, blocks, fibers, r = self.base, self.blocks, self.fibers, self.restrictions
+        for blk in {blk for bs in blocks.values() for blk in bs}:
+            if r.get((blk, blk)) != tuple(range(len(fibers[blk]))):
+                raise IntegrityError(f"restriction of {blk!r} to itself is not identity")
+        for fine, coarse in sorted(_block_pairs(base, blocks)):
+            if not set(fine) <= set(coarse):
+                raise IntegrityError(f"a base pair does not refine: {fine!r} meets {coarse!r}")
+            if (fine, coarse) not in r:
+                raise IntegrityError(f"restriction {fine!r}<={coarse!r} is missing")
+        after = {}  # B: (C, r[B, C]) for each C other than B
+        for (fine, coarse), t in r.items():
+            fa, fb = fibers[fine], fibers[coarse]
+            if len(t) != len(fb) or not all(0 <= x < len(fa) for x in t):
+                raise IntegrityError(f"restriction {fine!r}<={coarse!r} leaves the fiber")
+            if fine != coarse:
+                after.setdefault(fine, []).append((coarse, t))
+                # t carries the up row of y into the up row of t[y]; a map
+                # into a point is monotone
+                for y, up_y in enumerate(fb.up if len(fa) > 1 else ()):
                     if not all(fa.up[t[y]] >> t[z] & 1 for z in iter_bits(up_y)):
-                        raise IntegrityError(f"transport {a!r}<={b!r} is not monotone")
-        for a in base.elements:
-            for b in above[a]:
-                t_ab = transports[(a, b)]
-                for c in above[b]:
-                    t_bc, t_ac = transports[(b, c)], transports[(a, c)]
-                    if tuple(map(t_ab.__getitem__, t_bc)) != t_ac:
-                        raise IntegrityError(
-                            f"transport composition law fails on {a!r}<={b!r}<={c!r}"
-                        )
+                        raise IntegrityError(f"restriction {fine!r}<={coarse!r} not monotone")
+        for (fine, mid), t in r.items():
+            if fine == mid or len(fibers[fine]) == 1:
+                continue  # an identity composes with anything, as does a map into a point
+            for coarse, u in after.get(mid, ()):
+                if (fine, coarse) in r and tuple(map(t.__getitem__, u)) != r[fine, coarse]:
+                    raise IntegrityError(f"composition fails on {fine!r}<={mid!r}<={coarse!r}")
 
 
-def grothendieck(functor: PosetFunctor) -> Poset:
-    """Total poset: (a, x) <= (b, y) iff a <= b and x <= transport(y).
+def _block_pairs(base: Poset, blocks: dict) -> set:
+    """(A, B) for each block A of a and the block B of b holding A's least
+    element, over the pairs a <= b of the base."""
+    above = {}  # A: the b above some a that has the block A
+    for a, row in zip(base.elements, base.up):
+        for fine in blocks[a]:
+            above[fine] = above.get(fine, 0) | row
+    owner = {b: {e: coarse for coarse in blocks[b] for e in coarse} for b in base.elements}
+    return {
+        (fine, owner[base.elements[ib]][fine[0]])
+        for fine, row in above.items()
+        for ib in iter_bits(row)
+    }
 
-    Elements run through the fibers in base order.  For each a <= b, pre[t]
-    is the mask of the y in fiber(b) transported to t in fiber(a), so row
-    (a, x) gains the union, a sum as they are disjoint, of the pre[t] over
-    t >= x, shifted to b's offset.
+
+def grothendieck(functor: BlockFiberFunctor) -> Poset:
+    """Total poset: (a, x) <= (b, y) iff a <= b and x <= t_ab(y).
+
+    Elements run through the base in order, each fiber the product of its
+    blocks' fibers, the last block fastest.  x <= t_ab(y) is one condition
+    x_A <= r[A, B](y_B) per block A of a, so row (a, x) is the AND over
+    those A of x_A's cylinder: the y in each fiber(b) whose digit B meets
+    the condition, the other digits free.  A point fiber puts no condition.
     Raises if the relation is only a preorder; for the block-fiber functors
     used here antisymmetry always holds.
     """
-    base = functor.base
-    elements = []
-    offset = []
+    base, blocks, fibers = functor.base, functor.blocks, functor.fibers
+    elements, offset, spans = [], [], []
     for a in base.elements:
         offset.append(len(elements))
-        elements.extend((a, x) for x in functor.fibers[a].elements)
+        elements.extend((a, x) for x in product(*(fibers[f].elements for f in blocks[a])))
+        spans.append((1 << len(elements)) - (1 << offset[-1]))
+
+    def cylinders(ib, fine):
+        """The cylinder of each fib(fine) position in fiber(b), at b's offset."""
+        b = base.elements[ib]
+        j = next(j for j, coarse in enumerate(blocks[b]) if fine[0] in coarse)
+        sizes = [len(fibers[coarse]) for coarse in blocks[b]]
+        inner, width = prod(sizes[j + 1:]), prod(sizes[j:])
+        spread = [0] * len(fibers[fine])  # bit inner * y for each y_B restricted to x
+        for y, x in enumerate(functor.restrictions[fine, blocks[b][j]]):
+            spread[x] |= 1 << (inner * y)
+        # a full inner run at each digit y_B, repeated once per outer digit;
+        # neither product carries
+        fill = ((1 << inner) - 1) << offset[ib]
+        repeat = sum(1 << (width * q) for q in range(prod(sizes[:j])))
+        return [sum(spread[x] for x in iter_bits(up)) * fill * repeat for up in fibers[fine].up]
+
+    made = {}  # (b's index, fine block): its cylinders
     rows = []
-    for ia, a in enumerate(base.elements):
-        fa = functor.fibers[a]
-        fa_rows = [0] * len(fa)
-        for ib in iter_bits(base.up[ia]):
-            pre = [0] * len(fa)
-            for y, t in enumerate(functor.transports[(a, base.elements[ib])]):
-                pre[t] |= 1 << y
-            for x, up_x in enumerate(fa.up):
-                fa_rows[x] |= sum(pre[t] for t in iter_bits(up_x)) << offset[ib]
-        rows.extend(fa_rows)
+    for a, row in zip(base.elements, base.up):
+        above = list(iter_bits(row))
+        cells = [sum(spans[ib] for ib in above)]
+        for fine in (fine for fine in blocks[a] if len(fibers[fine]) > 1):
+            for ib in above:
+                if (ib, fine) not in made:
+                    made[ib, fine] = cylinders(ib, fine)
+            # the fibers(b) are disjoint runs, so a sum is their union
+            digit = list(map(sum, zip(*(made[ib, fine] for ib in above))))
+            cells = [c & d for c in cells for d in digit]
+        rows.extend(cells)
     try:
         return Poset(elements, rows, validate=True)
     except ValueError as exc:
@@ -128,14 +172,13 @@ def _block_fiber(n: int, obj: GraphObject, block: tuple[int, ...]):
     return object_poset(members), members
 
 
-def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
+def block_fiber_functor(n: int, obj: GraphObject) -> BlockFiberFunctor:
     """The block-fiber functor over the admissible partitions of obj.
 
     The fiber over a partition is the product of its blocks' over-posets in
     the label-floor-2 decreasing family; transports restrict blockwise.  For
-    a <= b each block of a lies in one block of b, so a fiber(b) position
-    is carried digit by digit: the coarse block's member at each digit
-    restricts to one member of each fine block inside it.
+    a <= b each block A of a lies in one block B of b, and r[A, B] gathers
+    A's edge fields out of each member key of fib(B).
     """
     if n < 2:
         raise ValueError("the reduction needs at least two labels")
@@ -145,37 +188,14 @@ def block_fiber_functor(n: int, obj: GraphObject) -> PosetFunctor:
     base = ctx.poset()
     blocks = {v.alpha: v.blocks() for v in ctx.partitions()}
     distinct = {blk for bs in blocks.values() for blk in bs}
-    block_fibers = {blk: _block_fiber(n, obj, blk) for blk in distinct}
-    fibers = {
-        a: poset_product([block_fibers[blk][0] for blk in bs])
-        for a, bs in blocks.items()
+    fibers = {blk: _block_fiber(n, obj, blk)[0] for blk in distinct}
+    restrictions = {
+        (fine, coarse): tuple(map(fibers[fine].index.__getitem__, _gather(
+            n, len(coarse), [coarse.index(e) for e in fine], fibers[coarse].elements
+        )))
+        for fine, coarse in _block_pairs(base, blocks)
     }
-
-    restricted = {}  # (fine, coarse): the fine position of each coarse member
-    transports = {}
-    for ia, a in enumerate(base.elements):
-        sizes = [len(block_fibers[blk][1]) for blk in blocks[a]]
-        for ib in iter_bits(base.up[ia]):
-            b = base.elements[ib]
-            # carried[j][d]: what digit d of b's block j adds to a position
-            carried = [[0] * len(block_fibers[blk][1]) for blk in blocks[b]]
-            for i, fine in enumerate(blocks[a]):
-                j = b[fine[0]] - 1  # the block of b holding fine
-                coarse = blocks[b][j]
-                if (fine, coarse) not in restricted:
-                    at = [coarse.index(e) for e in fine]
-                    index = block_fibers[fine][0].index
-                    restricted[fine, coarse] = [
-                        index[restrict(m, at).key] for m in block_fibers[coarse][1]
-                    ]
-                stride = prod(sizes[i + 1:])
-                for d, t in enumerate(restricted[fine, coarse]):
-                    carried[j][d] += t * stride
-            images = [0]
-            for adds in carried:
-                images = [x + s for x in images for s in adds]
-            transports[(a, b)] = tuple(images)
-    return PosetFunctor(base=base, fibers=fibers, transports=transports)
+    return BlockFiberFunctor(base, blocks, fibers, restrictions)
 
 
 def _gluing(n: int, alpha: tuple[int, ...]) -> tuple[int, int]:
@@ -196,21 +216,31 @@ def _gluing(n: int, alpha: tuple[int, ...]) -> tuple[int, int]:
     return cross, within
 
 
-def _scatter(n: int, k: int, block: tuple[int, ...], key: int) -> int:
-    """A block object's key moved onto its block's edge fields in a k-object.
+def _shifts(n: int, k: int, block) -> list[int]:
+    """The shift of each edge field of an ascending block in a k-object key,
+    in the block's edge order; the edges keep their order and orientation."""
+    bits = graphs.code_bits(n)
+    top = k * (k - 1) // 2 - 1
+    return [
+        (top - graphs.pair_position(k, block[i], block[j])) * bits
+        for i, j in graphs.edge_pairs(len(block))
+    ]
 
-    The block is ascending, so each of its edges keeps its order and
-    orientation in the k-object.
-    """
+
+def _scatter(n: int, k: int, block: tuple[int, ...], key: int) -> int:
+    """A block object's key moved onto its block's edge fields in a k-object."""
+    bits = graphs.code_bits(n)
+    fields = enumerate(reversed(_shifts(n, k, block)))
+    return sum((key >> (bits * i) & ((1 << bits) - 1)) << shift for i, shift in fields)
+
+
+def _gather(n: int, k: int, block, keys) -> list[int]:
+    """The inverse of _scatter: each k-object key's fields on the block's
+    edges, read as a block object's key."""
     bits = graphs.code_bits(n)
     mask = (1 << bits) - 1
-    top = k * (k - 1) // 2 - 1
-    out = 0
-    for i, j in reversed(graphs.edge_pairs(len(block))):
-        shift = (top - graphs.pair_position(k, block[i], block[j])) * bits
-        out |= (key & mask) << shift
-        key >>= bits
-    return out
+    fields = list(enumerate(reversed(_shifts(n, k, block))))
+    return [sum((key >> shift & mask) << (bits * i) for i, shift in fields) for key in keys]
 
 
 def over_poset_of_mdown(n: int, obj: GraphObject) -> Poset:
@@ -231,12 +261,11 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
 
     # each element glues its block keys along the cross edges of its word
     cross = {a: _gluing(n, a)[0] for a in functor.base.elements}
-    blocks = {a: OrderedPartition(a).blocks() for a in functor.base.elements}
     scattered = {}
     candidate = {}
     for alpha, keys in total.elements:
         glued = cross[alpha]
-        for block, key in zip(blocks[alpha], keys):
+        for block, key in zip(functor.blocks[alpha], keys):
             if (block, key) not in scattered:
                 scattered[block, key] = _scatter(n, obj.k, block, key)
             glued |= scattered[block, key]
@@ -254,7 +283,9 @@ def verify_grothendieck_prop(n: int, obj: GraphObject) -> dict:
             "assembly map is not an order isomorphism",
             {"object": obj.key, "total": len(total), "over": len(over)},
         )
-    fiber_sizes = sorted(len(functor.fibers[a]) for a in functor.base.elements)
+    fiber_sizes = sorted(
+        prod(len(functor.fibers[blk]) for blk in bs) for bs in functor.blocks.values()
+    )
     return {
         "object_key": obj.key,
         "partitions": len(functor.base),

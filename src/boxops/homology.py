@@ -143,8 +143,9 @@ def reduced_homology(simplices: frozenset[int]) -> HomologyReport:
     taking faces (each simplex a vertex mask), with an Euler characteristic
     cross-check.
 
-    Refuses loudly when the family exceeds CELL_CAP cells; there is no
-    silent truncation.
+    Refuses a family that is not closed under faces, naming the least
+    missing facet of its simplices, and refuses loudly when the family
+    exceeds CELL_CAP cells; there is no silent truncation.
     """
     if not simplices:
         raise ValueError("homology of the empty complex is not provided")
@@ -152,52 +153,30 @@ def reduced_homology(simplices: frozenset[int]) -> HomologyReport:
         raise CapExceededError(
             f"{len(simplices)} cells exceed the homology cap {CELL_CAP}"
         )
+    missing = {m & ~(1 << v) for m in simplices for v in iter_bits(m)} - simplices - {0}
+    if missing:
+        face = min(missing, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+        raise ValueError(f"not closed under faces: {tuple(iter_bits(face))} is missing")
     by_dim: dict[int, list[int]] = {}
-    for mask in simplices:
+    for mask in sorted(simplices, key=lambda m: tuple(iter_bits(m))):
         by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
-    top = max(by_dim)
-    for d in by_dim:
-        by_dim[d].sort(key=lambda m: tuple(iter_bits(m)))
-    position = {
-        d: {m: i for i, m in enumerate(by_dim[d])} for d in by_dim
-    }
+    # closed under faces, the family has cells in every dimension up to its top
+    cells = {d: len(by_dim[d]) for d in range(max(by_dim) + 1)}
+    position = {m: i for masks in by_dim.values() for i, m in enumerate(masks)}
+    rank, tors = {0: 1}, {}  # the augmentation C_0 -> Z has rank 1
+    for d in range(1, len(cells)):
+        # the boundary matrix C_d -> C_{d-1}, rows indexed by C_{d-1}
+        rows = [{} for _ in by_dim[d - 1]]
+        for ci, mask in enumerate(by_dim[d]):
+            for pos, v in enumerate(iter_bits(mask)):
+                rows[position[mask & ~(1 << v)]][ci] = -1 if pos % 2 else 1
+        diag = smith_diagonal(rows, cells[d])
+        rank[d], tors[d] = len(diag), [v for v in diag if v > 1]
 
-    def boundary_rows(d: int) -> tuple[list[dict[int, int]], int]:
-        """Rows of the boundary matrix C_d -> C_{d-1}, rows indexed by C_{d-1}."""
-        if d == 0:
-            # augmentation: one row of ones
-            return [
-                {ci: 1 for ci in range(len(by_dim.get(0, ())))}
-            ], len(by_dim.get(0, ()))
-        rows = [dict() for _ in by_dim.get(d - 1, ())]
-        for ci, mask in enumerate(by_dim.get(d, ())):
-            verts = list(iter_bits(mask))
-            for pos, v in enumerate(verts):
-                face = mask & ~(1 << v)
-                ri = position[d - 1][face]
-                rows[ri][ci] = -1 if pos % 2 else 1
-        return rows, len(by_dim.get(d, ()))
-
-    rank: dict[int, int] = {}
-    tors: dict[int, list[int]] = {}
-    for d in range(0, top + 2):
-        rows, ncols = boundary_rows(d)
-        if ncols == 0:
-            rank[d] = 0
-            tors[d] = []
-            continue
-        diag = smith_diagonal(rows, ncols)
-        rank[d] = len(diag)
-        tors[d] = [v for v in diag if v > 1]
-
-    betti = {}
-    torsion = {}
-    cells = {d: len(by_dim.get(d, ())) for d in range(0, top + 1)}
-    for d in range(0, top + 1):
-        betti[d] = len(by_dim.get(d, ())) - rank.get(d, 0) - rank.get(d + 1, 0)
-        torsion[d] = tors.get(d + 1, [])
-        if betti[d] < 0:
-            raise IntegrityError("negative Betti number; rank bookkeeping broken")
+    betti = {d: c - rank[d] - rank.get(d + 1, 0) for d, c in cells.items()}
+    torsion = {d: tors.get(d + 1, []) for d in cells}
+    if any(b < 0 for b in betti.values()):
+        raise IntegrityError("negative Betti number; rank bookkeeping broken")
     # Euler characteristic cross-check (reduced: compare against -1+chi)
     chi_cells = sum((1 if d % 2 == 0 else -1) * c for d, c in cells.items())
     chi_betti = sum((1 if d % 2 == 0 else -1) * b for d, b in betti.items())

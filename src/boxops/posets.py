@@ -128,17 +128,7 @@ class Poset:
         picked = [self.index[e] for e in keys]
         elements = tuple(self.elements[i] for i in picked)
         pos = {old: new for new, old in enumerate(picked)}
-        rows = []
-        for i in picked:
-            row = 0
-            bits = self.up[i]
-            while bits:
-                b = bits & (-bits)
-                j = b.bit_length() - 1
-                bits ^= b
-                if j in pos:
-                    row |= 1 << pos[j]
-            rows.append(row)
+        rows = [sum(1 << pos[j] for j in iter_bits(self.up[i]) if j in pos) for i in picked]
         return Poset(elements, rows, validate=False)
 
     def opposite(self) -> "Poset":

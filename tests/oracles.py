@@ -8,8 +8,11 @@ that the fast implementations are then held to.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+
+from boxops.errors import IntegrityError
 
 
 def decode(obj):
@@ -485,6 +488,95 @@ def oracle_candidate_isomorphism(p, q, candidate):
     )
 
 
+@dataclass(frozen=True)
+class PosetFunctor:
+    """A contravariant functor from a base poset to posets, pair by pair.
+
+    transports[(a, b)] for a <= b is a tuple with one fiber(a) position per
+    fiber(b) position.  Identity and composition laws plus monotonicity are
+    checked at construction, on every pair and every triple: the
+    definitional route the library's block-level BlockFiberFunctor is held
+    to through expand_block_functor.
+    """
+
+    base: object
+    fibers: dict
+    transports: dict
+
+    def __post_init__(self):
+        base, fibers, transports = self.base, self.fibers, self.transports
+        for a in base.elements:
+            if transports.get((a, a)) != tuple(range(len(fibers[a]))):
+                raise IntegrityError(f"identity transport at {a!r} is not identity")
+        above = {
+            a: [b for b in base.elements if base.le(a, b)] for a in base.elements
+        }
+        for a in base.elements:
+            for b in above[a]:
+                fa, fb, t = fibers[a], fibers[b], transports[(a, b)]
+                if len(t) != len(fb) or not all(0 <= x < len(fa) for x in t):
+                    raise IntegrityError(f"transport {a!r}<={b!r} leaves the fiber")
+                for y in range(len(fb)):
+                    for z in range(len(fb)):
+                        if fb.le_idx(y, z) and not fa.le_idx(t[y], t[z]):
+                            raise IntegrityError(
+                                f"transport {a!r}<={b!r} is not monotone"
+                            )
+        for a in base.elements:
+            for b in above[a]:
+                t_ab = transports[(a, b)]
+                for c in above[b]:
+                    t_bc, t_ac = transports[(b, c)], transports[(a, c)]
+                    if tuple(t_ab[x] for x in t_bc) != t_ac:
+                        raise IntegrityError(
+                            f"transport composition law fails on {a!r}<={b!r}<={c!r}"
+                        )
+
+
+def expand_block_functor(functor):
+    """The per-pair PosetFunctor of a block-level BlockFiberFunctor.
+
+    Fiber(a) is the product of a's block fibers, ordered componentwise with
+    the last block fastest, and each transport is read off its definition
+    t_ab(y)_A = r[A, B](y_B), B the block of b holding A, one element key
+    at a time.
+    """
+    from itertools import product
+
+    from boxops.posets import Poset
+
+    base, blocks, r = functor.base, functor.blocks, functor.restrictions
+    fibs = functor.fibers
+    fibers = {}
+    for a, bs in blocks.items():
+        fibers[a] = Poset.from_leq(
+            list(product(*(fibs[blk].elements for blk in bs))),
+            lambda x, y, bs=bs: all(fibs[blk].le(u, v) for blk, u, v in zip(bs, x, y)),
+        )
+
+    def restricted(fine, coarse, key):
+        """r[fine, coarse] on element keys."""
+        return fibs[fine].elements[r[fine, coarse][fibs[coarse].index[key]]]
+
+    transports = {}
+    for a in base.elements:
+        for b in base.elements:
+            if not base.le(a, b):
+                continue
+            # the digit of b whose block holds each block of a
+            at = [
+                next(j for j, c in enumerate(blocks[b]) if set(fine) <= set(c))
+                for fine in blocks[a]
+            ]
+            transports[(a, b)] = tuple(
+                fibers[a].index[tuple(
+                    restricted(fine, blocks[b][j], y[j]) for fine, j in zip(blocks[a], at)
+                )]
+                for y in fibers[b].elements
+            )
+    return PosetFunctor(base=base, fibers=fibers, transports=transports)
+
+
 def transport_keys(fibers, transports, a, b):
     """transports[(a, b)] as a map on element keys, fiber(b) to fiber(a), or
     None when it is missing, has the wrong length or a position out of
@@ -521,7 +613,8 @@ def oracle_functor_laws(base, fibers, transports):
     Each transport is read as a map on element keys, and the laws are
     checked pair by pair through Poset.le: identity first, then that every
     transport stays in its fiber and is monotone, then composition.  The
-    names returned are the words of the library's IntegrityError messages.
+    names returned are the words of the IntegrityError messages of
+    PosetFunctor and of the library's block laws.
     """
     pairs = [(a, b) for a in base.elements for b in base.elements if base.le(a, b)]
     for a in base.elements:

@@ -276,6 +276,17 @@ def test_sphere_betti():
     assert rep.betti == {0: 0, 1: 0, 2: 1}
 
 
+@pytest.mark.parametrize("simplices,missing", [
+    ({0b11}, r"\(0,\)"),  # an edge without its vertices
+    (family((0, 1, 2)) - {0b101}, r"\(0, 2\)"),  # a triangle short of one edge
+    # {0, 1, 3} lacks the facets {0, 3} and {1, 3}; {3} is no simplex's facet
+    (family((0, 1), (1, 2)) | {0b1011}, r"\(0, 3\)"),
+])
+def test_family_not_closed_under_faces_is_refused(simplices, missing):
+    with pytest.raises(ValueError, match="not closed under faces: " + missing):
+        reduced_homology(frozenset(simplices))
+
+
 def test_smith_diagonal_divisibility():
     # diag(2, 3) has invariant factors 1, 6
     rows = [{0: 2}, {1: 3}]

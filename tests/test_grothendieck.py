@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +10,7 @@ from boxops import grothendieck as groth
 from boxops.contractibility import certify_contractible
 from boxops.errors import FalsificationError, IntegrityError
 from boxops.grothendieck import (
-    PosetFunctor,
+    BlockFiberFunctor,
     block_fiber_functor,
     family_tuple,
     grothendieck,
@@ -20,6 +23,8 @@ from boxops.posets import Poset, poset_isomorphic, poset_product
 from boxops.textform import from_box_expr
 
 from oracles import (
+    PosetFunctor,
+    expand_block_functor,
     oracle_assembly_candidates,
     oracle_functor_laws,
     oracle_total_poset,
@@ -50,21 +55,21 @@ def constant_functor(base, fiber):
 def test_point_base_gives_fiber():
     fiber = chain(3)
     functor = constant_functor(point_poset(), fiber)
-    total = grothendieck(functor)
+    total = oracle_total_poset(functor)
     assert poset_isomorphic(total, fiber) is not None
 
 
 def test_point_fibers_give_base():
     base = chain(3)
     functor = constant_functor(base, point_poset())
-    total = grothendieck(functor)
+    total = oracle_total_poset(functor)
     assert poset_isomorphic(total, base) is not None
 
 
 def test_two_chains_identity_transport_is_grid():
     base = chain(2)
     functor = constant_functor(base, chain(2))
-    total = grothendieck(functor)
+    total = oracle_total_poset(functor)
     grid = poset_product([chain(2), chain(2)])
     assert poset_isomorphic(total, grid) is not None
 
@@ -132,20 +137,36 @@ def built_functor_objects():
 
 def test_functor_laws_hold_for_built_fibers():
     for obj in built_functor_objects():
-        functor = block_fiber_functor(3, obj)  # construction validates the laws
+        # both constructions validate: the block laws, then every pair and
+        # triple of the expanded transports
+        expanded = expand_block_functor(block_fiber_functor(3, obj))
         assert oracle_functor_laws(
-            functor.base, functor.fibers, functor.transports
+            expanded.base, expanded.fibers, expanded.transports
         ) is None
 
 
 def test_transports_equal_restriction_oracle():
     for obj in built_functor_objects():
+        expanded = expand_block_functor(block_fiber_functor(3, obj))
+        want = oracle_transports(3, obj)
+        assert sorted(expanded.transports) == sorted(want)
+        for pair, t in want.items():
+            got = transport_keys(expanded.fibers, expanded.transports, *pair)
+            assert list(got.items()) == list(t.items())  # element order too
+
+
+def test_gather_equals_restrict_on_every_member():
+    from boxops.graphs import restrict
+
+    for obj in built_functor_objects():
         functor = block_fiber_functor(3, obj)
-        got = {
-            pair: transport_keys(functor.fibers, functor.transports, *pair)
-            for pair in functor.transports
-        }
-        assert got == oracle_transports(3, obj)
+        for fine, coarse in functor.restrictions:
+            at = [coarse.index(e) for e in fine]
+            members = groth._block_fiber(3, obj, coarse)[1]
+            gathered = groth._gather(3, len(coarse), at, [m.key for m in members])
+            assert gathered == [restrict(m, at).key for m in members]
+            scattered = [groth._scatter(3, len(coarse), at, key) for key in gathered]
+            assert groth._gather(3, len(coarse), at, scattered) == gathered
 
 
 def test_fiber_over_single_block_is_full_over_poset():
@@ -153,7 +174,7 @@ def test_fiber_over_single_block_is_full_over_poset():
     # is the whole over-poset of the floor-2 family
     obj = from_box_expr("(1[]2 2)[]3 3", 3)
     functor = block_fiber_functor(3, obj)
-    single = tuple([1] * 3)
+    assert tuple([1] * 3) in functor.blocks
     from boxops.graphs import Family, is_morphism, shift_labels
 
     members = [
@@ -161,7 +182,7 @@ def test_fiber_over_single_block_is_full_over_poset():
         for o in graphs.enumerate_family(Family("mdown"), 2, 3)
     ]
     want = sorted(o.key for o in members if is_morphism(o, obj))
-    got = sorted(key[0] for key in functor.fibers[single].elements)
+    got = sorted(functor.fibers[(0, 1, 2)].elements)
     assert got == want
 
 
@@ -282,11 +303,10 @@ def test_indexed_member_filters_equal_is_morphism_filters(n, k, sample):
 
 
 def test_total_poset_equals_defining_relation():
-    objs = list(family_tuple("ke", 3, 3))
-    objs += random.Random(34).sample(list(family_tuple("ke", 3, 4)), 20)
-    for obj in objs:
+    for obj in built_functor_objects():
         functor = block_fiber_functor(3, obj)
-        got, want = grothendieck(functor), oracle_total_poset(functor)
+        got = grothendieck(functor)
+        want = oracle_total_poset(expand_block_functor(functor))
         assert got.elements == want.elements
         assert got.up == want.up
 
@@ -295,10 +315,108 @@ def test_total_preorder_is_refused():
     # over poset fibers the total relation is antisymmetric; a fiber that
     # is only a preorder (x <= y <= x) makes the total relation one too
     fiber = Poset(("x", "y"), (0b11, 0b11), validate=False)
-    functor = PosetFunctor(base=point_poset(), fibers={"*": fiber},
-                           transports={("*", "*"): (0, 1)})
+    functor = BlockFiberFunctor(
+        base=Poset(((1,),), (1,)), blocks={(1,): ((0,),)}, fibers={(0,): fiber},
+        restrictions={((0,), (0,)): (0, 1)},
+    )
     with pytest.raises(IntegrityError, match="preorder"):
         grothendieck(functor)
+
+
+# ---------------------------------------------------------------------------
+# the block laws
+
+
+def nested_blocks():
+    """The first sampled ke(3,4) object with blocks A inside B inside C whose
+    r[A, C] is not constant: (object, its functor, (A, B, C))."""
+    for obj in built_functor_objects()[len(family_tuple("ke", 3, 3)):]:
+        functor = block_fiber_functor(3, obj)
+        r = functor.restrictions
+        for fine, mid in r:
+            for coarse in {c for b, c in r if b == mid} - {fine, mid}:
+                if fine != mid and len(set(r.get((fine, coarse), ()))) > 1:
+                    return obj, functor, (fine, mid, coarse)
+    raise AssertionError("the sample holds no three nested blocks")
+
+
+def break_law(law):
+    """The fields of nested_blocks()'s functor with one block law broken."""
+    _, functor, (fine, _, coarse) = nested_blocks()
+    fields = dict(vars(functor))
+    r = fields["restrictions"] = dict(functor.restrictions)
+    t = list(r[fine, coarse])
+    if law == "identity":
+        r[coarse, coarse] = r[coarse, coarse][::-1]
+    elif law == "refine":
+        fields["base"] = functor.base.opposite()
+    elif law == "missing":
+        del r[fine, coarse]
+    elif law == "leaves the fiber":
+        r[fine, coarse] = (len(functor.fibers[fine]),) + tuple(t[1:])
+    elif law == "not monotone":
+        # a swap on y < z with t[y] < t[z] carries y <= z to t[z] > t[y]
+        up = functor.fibers[coarse].up
+        y, z = next((y, z) for y in range(len(t)) for z in range(len(t))
+                    if up[y] >> z & 1 and t[y] != t[z])
+        t[y], t[z] = t[z], t[y]
+        r[fine, coarse] = tuple(t)
+    elif law == "composition":
+        # a constant map is monotone, but r[A, B] r[B, C] is not constant
+        r[fine, coarse] = (t[0],) * len(t)
+    return fields
+
+
+@pytest.mark.parametrize(
+    "law", ["identity", "refine", "missing", "leaves the fiber", "not monotone", "composition"]
+)
+def test_each_block_law_is_enforced(law):
+    fields = break_law(law)
+    with pytest.raises(IntegrityError, match=law):
+        BlockFiberFunctor(**fields)
+
+
+def test_unbroken_fields_construct():
+    _, functor, _ = nested_blocks()
+    fields = dict(vars(functor))
+    assert BlockFiberFunctor(**fields) == functor
+
+
+@pytest.mark.parametrize("checked", [True, False], ids=["block-laws", "total-poset"])
+def test_one_swapped_restriction_position_is_refused(monkeypatch, checked):
+    obj, functor, (fine, _, coarse) = nested_blocks()
+    t = list(functor.restrictions[fine, coarse])
+    z = next(z for z, x in enumerate(t) if x != t[0])
+    t[0], t[z] = t[z], t[0]
+    r = {**functor.restrictions, (fine, coarse): tuple(t)}
+    real = groth.block_fiber_functor
+
+    def swapped(n, obj):
+        built = real(n, obj)
+        if checked:
+            return dataclasses.replace(built, restrictions=r)
+        object.__setattr__(built, "restrictions", r)  # past the block laws
+        return built
+
+    monkeypatch.setattr(groth, "block_fiber_functor", swapped)
+    with pytest.raises(IntegrityError, match="not monotone" if checked else "preorder"):
+        verify_grothendieck_prop(3, obj)
+
+
+# sha256 over the verify_grothendieck_prop(3, obj) report of every ke(3,3)
+# object, then of a seeded 300-object ke(3,4) sample, one sorted-key JSON
+# line each, as computed when every transport was a per-pair position tuple
+GROTHENDIECK_EVIDENCE = "86b1959a470f810b916e9712dafa4c9583d045cc9570df49b7e8371a2d3547ee"
+
+
+def test_grothendieck_evidence_is_pinned():
+    objs = list(family_tuple("ke", 3, 3))
+    objs += random.Random(2024).sample(list(family_tuple("ke", 3, 4)), 300)
+    h = hashlib.sha256()
+    for obj in objs:
+        report = verify_grothendieck_prop(3, obj)
+        h.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == GROTHENDIECK_EVIDENCE
 
 
 # ---------------------------------------------------------------------------
