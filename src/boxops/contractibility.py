@@ -1,8 +1,17 @@
 """Contractibility certificates for finite posets and the sweep checkers.
 
-The certificate hierarchy is cone, then dismantling, then an explicit
-collapse of the order complex; integer homology is only a necessary
-condition and never upgrades a verdict past HOMOLOGY-TRIVIAL-only.
+The certificate hierarchy is cone, then beat-point dismantling, then weak
+points on the dismantled core, then an explicit collapse of the order
+complex as the fallback; integer homology is only a necessary condition and
+never upgrades a verdict past HOMOLOGY-TRIVIAL-only.
+
+The weak-point step is Barmak and Minian's (Adv. Math. 218, 2008): x is a
+weak point when its strict down-set or strict up-set dismantles to a point.
+The link of x in the order complex is the join of the order complexes of
+those two sets, and a join with a collapsible complex is collapsible, so
+removing x collapses the order complex onto that of the poset without x.
+A core that loses weak points down to one point therefore has a
+collapsible order complex, and no complex is built for it.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from . import graphs
 from .complexes import greedy_collapse, replay_trace
 from .errors import CapExceededError, IntegrityError
 from .homology import reduced_homology
-from .posets import Poset, replay_dismantle
+from .posets import Poset, replay_dismantle, replay_weak_points
 
 CONTRACTIBLE = "CONTRACTIBLE-certified"
 HOMOLOGY_ONLY = "HOMOLOGY-TRIVIAL-only"
@@ -35,10 +44,14 @@ class Verdict:
 def certify_contractible(poset: Poset) -> Verdict:
     """Certify that a poset's order complex is contractible.
 
-    Tries: cone (a minimum or maximum element), dismantling to a point,
-    then dismantling to a core whose order complex greedily collapses to a
-    point.  A cone apex found in one family of rows is rechecked in the
-    other, and every dismantle and collapse certificate is replayed by its
+    Tries, in order: a cone (a minimum or maximum element); beat-point
+    dismantling to a point; removing weak points from the dismantled core
+    down to a point (method "weak", or "dismantle+weak" after beat points),
+    each removal a collapse because the removed point's link is the join of
+    a collapsible complex with another; and only where weak points stop
+    short, a greedy collapse of the core's order complex to a point.  A cone
+    apex found in one family of rows is rechecked in the other, and every
+    dismantle, weak-point and collapse certificate is replayed by its
     independent checker before the verdict is returned, so a bad apex or
     step raises IntegrityError.  If only homology vanishes the verdict stays
     inconclusive.
@@ -56,6 +69,14 @@ def certify_contractible(poset: Poset) -> Verdict:
     if len(core) == 1:
         return Verdict(
             CONTRACTIBLE, "dismantle", {"size": m, "removals": len(steps)}
+        )
+    left, weak = core.remove_weak_points()
+    if len(left) == 1:
+        replay_weak_points(core, weak)
+        return Verdict(
+            CONTRACTIBLE,
+            "dismantle+weak" if steps else "weak",
+            {"size": m, "removals": len(steps), "core": len(core), "weak": len(weak)},
         )
     try:
         complex_ = core.order_complex()

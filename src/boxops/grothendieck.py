@@ -158,6 +158,10 @@ def _block_fiber(n: int, obj: GraphObject, block: tuple[int, ...]):
 
     Returns (poset over object keys, the member objects in poset order).
     """
+    if len(block) == 1:
+        # a one-element block has no edges: its fiber is the one point, key 0
+        member = graphs.point(n)
+        return Poset((member.key,), (1,), validate=False, down_rows=(1,)), [member]
     obj_b = restrict(obj, block)
     if any((c >> 1) + 1 == 1 for c in obj_b.codes):
         raise IntegrityError(

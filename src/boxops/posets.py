@@ -157,47 +157,110 @@ class Poset:
 
         A beat point is dominated in the comparability graph by the witness
         recorded with it, so each removal collapses the order complex onto
-        the smaller poset's.  Beat status depends only on the alive elements
-        comparable to an element, so removing i unsettles only
-        up[i] | down[i]; the other elements found not to be beat points stay
-        settled, and the lowest unsettled beat point is the lowest one.  The
-        up-witness is the least element of the strict up-set and the
-        down-witness the greatest element of the strict down-set, each found
-        by _least/_greatest: on a poset whose index order is a linear
-        extension, such as a member poset, one AND and one inclusion test.
+        the smaller poset's.  The loop is _beat_points over every element.
         Returns the core and the removal steps (key, witness_key,
         "up"|"down").
         """
-        up = self.up
-        down = self.down_rows()
-        alive = (1 << len(self.elements)) - 1
-        settled = 0
+        alive, steps = _beat_points(self.up, self.down_rows(), (1 << len(self.elements)) - 1)
+        keys = self.elements
+        return self.subposet([keys[i] for i in iter_bits(alive)]), _keyed(keys, steps)
+
+    def remove_weak_points(self) -> tuple["Poset", list[tuple]]:
+        """Iteratively remove weak points, each followed by the beat points
+        its removal exposes.
+
+        x is a weak point (Barmak and Minian) when its strict down-set or
+        strict up-set among the alive elements dismantles to one point.  The
+        link of x in the order complex is the join of the order complexes of
+        those two sets; a dismantlable side makes that join collapsible, so
+        removing x collapses the order complex onto the smaller poset's.
+
+        The order contract: each step removes the lowest-index weak point,
+        trying the down side before the up side, by a scan restarted from
+        the first alive element after every removal, and then every beat
+        point of what is left, as dismantle() would.  Each side is
+        dismantled by _beat_points on its mask, with no sub-poset built.
+        Returns the poset left and the steps (key, "down"|"up", link steps,
+        beat steps): the link steps dismantle the link's sub-poset to one
+        point, and the beat steps dismantle the sub-poset left once the key
+        is removed, both in key form for replay_dismantle.
+        """
+        up, down = self.up, self.down_rows()
+        keys = self.elements
+        alive = (1 << len(keys)) - 1
         steps: list[tuple] = []
-        while alive.bit_count() > 1:
-            unsettled = alive & ~settled
-            while unsettled:
-                b = unsettled & -unsettled
-                unsettled ^= b
-                i = b.bit_length() - 1
-                direction = "up"
-                witness = _least(up[i] & alive & ~b, up, down)
-                if not witness:
-                    direction = "down"
-                    witness = _greatest(down[i] & alive & ~b, up, down)
-                if witness:
-                    steps.append(
-                        (self.elements[i], self.elements[witness.bit_length() - 1],
-                         direction)
-                    )
-                    alive ^= b
-                    settled &= ~(up[i] | down[i])
+        while alive & (alive - 1):
+            for i in iter_bits(alive):
+                weak = _weak_side(up, down, alive, i)
+                if weak:
                     break
-                settled |= b
             else:
-                # every alive element is settled: the core is reached
+                # no alive element is a weak point
                 break
-        core = self.subposet([self.elements[i] for i in iter_bits(alive)])
-        return core, steps
+            side, link_steps = weak
+            alive, beat_steps = _beat_points(up, down, alive & ~(1 << i))
+            steps.append((keys[i], side, _keyed(keys, link_steps), _keyed(keys, beat_steps)))
+        return self.subposet([keys[i] for i in iter_bits(alive)]), steps
+
+
+def _weak_side(up: Sequence[int], down: Sequence[int], alive: int, i: int) -> tuple | None:
+    """The first side of i, down before up, whose alive elements strictly
+    below or above i dismantle to one point, with that link's steps; or
+    None when i is not a weak point."""
+    for side, rows in (("down", down), ("up", up)):
+        left, link_steps = _beat_points(up, down, rows[i] & alive & ~(1 << i))
+        if left and not left & (left - 1):
+            return side, link_steps
+    return None
+
+
+def _keyed(keys: Sequence, steps: list[tuple]) -> list[tuple]:
+    """Index-form dismantle steps (i, witness, side) in key form."""
+    return [(keys[i], keys[j], side) for i, j, side in steps]
+
+
+def _beat_points(up: Sequence[int], down: Sequence[int], alive: int) -> tuple[int, list[tuple]]:
+    """Dismantle the sub-poset on the mask `alive` of the rows up and down.
+
+    Removes the lowest-index beat point, trying the up side before the down
+    side, until none is left.  Settled state is kept per side: up_settled
+    holds the alive elements known not to be up-beat points, down_settled
+    those known not to be down-beat points.  Removing i changes the strict
+    up-set only of the elements of down[i] and the strict down-set only of
+    those of up[i], so only those lose their settled bit on that side; the
+    lowest unsettled beat point is then the lowest one.  The up-witness is
+    the least element of the strict up-set and the down-witness the
+    greatest element of the strict down-set, each found by _least or
+    _greatest: where index order is a linear extension, as on a member
+    poset, one AND and one inclusion test.  Returns the mask left and the
+    steps (index, witness index, "up"|"down").
+    """
+    up_settled = down_settled = 0
+    steps: list[tuple] = []
+    while alive & (alive - 1):
+        unsettled = alive & ~(up_settled & down_settled)
+        while unsettled:
+            b = unsettled & -unsettled
+            unsettled ^= b
+            i = b.bit_length() - 1
+            if not up_settled & b:
+                side, witness = "up", _least(up[i] & alive & ~b, up, down)
+                if witness:
+                    break
+                up_settled |= b
+            if not down_settled & b:
+                side, witness = "down", _greatest(down[i] & alive & ~b, up, down)
+                if witness:
+                    break
+                down_settled |= b
+        else:
+            # every alive element is settled on both sides: the core is reached
+            break
+        steps.append((i, witness.bit_length() - 1, side))
+        alive ^= b
+        up_settled &= ~down[i]
+        down_settled &= ~up[i]
+    return alive, steps
 
 
 def _least(strict: int, up: Sequence[int], down: Sequence[int]) -> int:
@@ -245,16 +308,20 @@ def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:
-    """Re-verify that each recorded removal really was a beat point."""
-    m = len(poset.elements)
-    alive = (1 << m) - 1
+def replay_dismantle(poset: Poset, steps: Sequence[tuple], alive: int | None = None) -> int:
+    """Re-verify that each recorded removal really was a beat point.
+
+    The steps dismantle the sub-poset on the mask `alive` (every element
+    when None); returns the mask they leave.
+    """
+    if alive is None:
+        alive = (1 << len(poset.elements)) - 1
     down = poset.down_rows()
     for key, witness_key, direction in steps:
         i = poset.index[key]
         j = poset.index[witness_key]
         if not (alive >> i) & 1 or not (alive >> j) & 1:
-            raise IntegrityError(f"dismantle step touches a removed element: {key!r}")
+            raise IntegrityError(f"dismantle step touches an element not alive: {key!r}")
         if direction == "up":
             strict = poset.up[i] & alive & ~(1 << i)
             if not (strict >> j) & 1 or strict & ~poset.up[j]:
@@ -266,6 +333,42 @@ def replay_dismantle(poset: Poset, steps: Sequence[tuple]) -> None:
         else:
             raise IntegrityError(f"unknown dismantle direction {direction!r}")
         alive &= ~(1 << i)
+    return alive
+
+
+def replay_weak_points(poset: Poset, steps: Sequence[tuple]) -> None:
+    """Re-verify that each recorded removal was a weak point, that the beat
+    steps after it were beat points, and that the removals leave exactly
+    one point.
+
+    Each step's link is recomputed from the alive rows, as the alive
+    elements strictly below (side "down") or strictly above (side "up") the
+    removed one.  replay_dismantle checks the link steps on the link's
+    sub-poset, which must end at exactly one element, and the beat steps on
+    the sub-poset of the elements still alive.
+    """
+    alive = (1 << len(poset.elements)) - 1
+    down = poset.down_rows()
+    for key, side, link_steps, beat_steps in steps:
+        i = poset.index[key]
+        if not (alive >> i) & 1:
+            raise IntegrityError(f"weak step touches an element not alive: {key!r}")
+        bit = 1 << i
+        if side == "down":
+            link = down[i] & alive & ~bit
+        elif side == "up":
+            link = poset.up[i] & alive & ~bit
+        else:
+            raise IntegrityError(f"unknown weak-point side {side!r}")
+        if replay_dismantle(poset, link_steps, link).bit_count() != 1:
+            raise IntegrityError(
+                f"the {side} link of {key!r} does not dismantle to one point"
+            )
+        alive = replay_dismantle(poset, beat_steps, alive & ~bit)
+    if alive.bit_count() != 1:
+        raise IntegrityError(
+            f"weak-point removals leave {alive.bit_count()} elements, not one"
+        )
 
 
 def poset_product(factors: Sequence[Poset]) -> Poset:

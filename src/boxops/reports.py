@@ -69,18 +69,30 @@ def exit_code(records) -> int:
 
 
 def summarize(records) -> tuple[str, dict]:
-    """A human-readable summary plus the machine form."""
+    """A human-readable summary plus the machine form.
+
+    Each check's line carries its records' certificate-method mix, read
+    from evidence["method"], and data["methods"] holds the same counts.
+    """
     records = list(records)
     if not records:
-        return "0 checks\n", {"total": 0, "checks": {}}
+        return "0 checks\n", {"total": 0, "checks": {}, "methods": {}}
     by_check: dict[str, dict[str, int]] = {}
+    methods: dict[str, dict[str, int]] = {}  # check: certificate method: records
     for rec in records:
         by_check.setdefault(rec.check, {}).setdefault(rec.verdict, 0)
         by_check[rec.check][rec.verdict] += 1
+        method = rec.evidence.get("method")
+        if method is not None:
+            mix = methods.setdefault(rec.check, {})
+            mix[method] = mix.get(method, 0) + 1
     lines = [f"{len(records)} checks"]
     for check in sorted(by_check):
         counts = by_check[check]
         piece = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
+        if check in methods:
+            mix = ", ".join(f"{m} {v}" for m, v in sorted(methods[check].items()))
+            piece += f" ({mix})"
         lines.append(f"  {check}: {piece}")
     slowest = sorted(records, key=lambda r: -r.wall)[:5]
     lines.append("slowest:")
@@ -98,6 +110,7 @@ def summarize(records) -> tuple[str, dict]:
     data = {
         "total": len(records),
         "checks": by_check,
+        "methods": methods,
         "exit_code": exit_code(records),
         "non_passing": [
             {"check": r.check, "params": r.params, "verdict": r.verdict} for r in bad

@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from boxops import graphs
+from boxops.contractibility import object_poset
 from boxops.partitions import all_contexts
 from boxops.posets import Poset
 
@@ -58,3 +59,26 @@ def random_poset(rng, m, shuffled=True):
             if rank[i] < rank[j] and rng.random() < density:
                 up[i] |= up[j]
     return Poset(range(m), up)
+
+
+SWEEPS = (("mdown", graphs.FamilyIndex.below), ("m", graphs.FamilyIndex.below),
+          ("mup", graphs.FamilyIndex.above), ("m", graphs.FamilyIndex.above))
+
+
+@lru_cache(maxsize=None)
+def sweep_cores(n: int, k: int, sample: int | None = None):
+    """The beat-point cores of more than one element among the member
+    posets of the four sweeps (the mdown and m members below each object,
+    the mup and m members above it) over ke(n, k), or over `sample` objects
+    of it drawn by random.Random(41)."""
+    ambient = family_members("ke", n, k)
+    if sample is not None:
+        ambient = random.Random(41).sample(ambient, sample)
+    cores = []
+    for tag, side in SWEEPS:
+        index = graphs.family_index(family_members(tag, n, k))
+        for b in ambient:
+            core = object_poset(index.select(side(index, b))).dismantle()[0]
+            if len(core) > 1:
+                cores.append(core)
+    return tuple(cores)

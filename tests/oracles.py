@@ -265,10 +265,16 @@ def oracle_dismantle(poset):
 
     Returns the core's keys and the steps (key, witness_key, "up"|"down").
     """
+    alive, steps = _oracle_dismantle_mask(poset, (1 << len(poset.elements)) - 1)
+    return [poset.elements[i] for i in _bits(alive)], steps
+
+
+def _oracle_dismantle_mask(poset, alive):
+    """oracle_dismantle of the sub-poset on the mask alive: the mask left
+    and the steps."""
     m = len(poset.elements)
     up = poset.up
     down = [sum(1 << j for j in range(m) if (up[j] >> i) & 1) for i in range(m)]
-    alive = (1 << m) - 1
     steps = []
     changed = True
     while changed and alive.bit_count() > 1:
@@ -296,6 +302,37 @@ def oracle_dismantle(poset):
                 alive &= ~(1 << i)
                 changed = True
                 break
+    return alive, steps
+
+
+def oracle_weak_points(poset):
+    """Weak-point removal by a scan restarted from the lowest alive element
+    after every removal, each element's strict down-set tried before its
+    strict up-set.  A side is a weak link when _oracle_dismantle_mask takes
+    it to one point; each weak removal is followed by the oracle dismantling
+    of the elements left.
+
+    Returns the keys left and the steps (key, "down"|"up", link steps,
+    beat steps).
+    """
+    up = poset.up
+    alive = (1 << len(poset.elements)) - 1
+    steps = []
+    while alive.bit_count() > 1:
+        for i in _bits(alive):
+            below = sum(1 << j for j in _bits(alive) if j != i and (up[j] >> i) & 1)
+            above = sum(1 << j for j in _bits(alive) if j != i and (up[i] >> j) & 1)
+            for side, link in (("down", below), ("up", above)):
+                left, link_steps = _oracle_dismantle_mask(poset, link)
+                if left.bit_count() == 1:
+                    break
+            else:
+                continue
+            break
+        else:
+            break
+        alive, beat_steps = _oracle_dismantle_mask(poset, alive & ~(1 << i))
+        steps.append((poset.elements[i], side, link_steps, beat_steps))
     return [poset.elements[i] for i in _bits(alive)], steps
 
 

@@ -435,6 +435,22 @@ def test_cli_report_writes_files(tmp_path, capsys):
     assert data["total"] == 1
 
 
+def test_cli_report_counts_certificate_methods(tmp_path, capsys):
+    out = tmp_path / "records.jsonl"
+    code = cli.main(["check", "initiality", "--n", "3", "--k", "3", "--sub", "m",
+                     "--out", str(out)])
+    assert code == 0
+    code = cli.main(["report", str(out), "--out", str(tmp_path / "summary")])
+    assert code == 0
+    assert "  initiality: 210 PASS (cone 114, dismantle 84, weak 12)\n" in capsys.readouterr().out
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["methods"] == {"initiality": {"cone": 114, "dismantle": 84, "weak": 12}}
+    # records without a certificate method list none
+    text, data = summarize([ReportRecord("a", {}, PASS)])
+    assert "  a: 1 PASS\n" in text
+    assert data["methods"] == {}
+
+
 def test_poset_sweep_jobs_do_not_change_output():
     serial = checks.run_initiality(2, 3)
     parallel = checks.run_initiality(2, 3, jobs=2)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from boxops import contractibility
+from boxops import contractibility, graphs
 from boxops.contractibility import (
     CONTRACTIBLE,
     FAILED,
@@ -12,6 +12,7 @@ from boxops.contractibility import (
     check_homotopy_initial,
     object_poset,
 )
+from boxops.complexes import greedy_collapse, replay_trace
 from boxops.errors import DimensionError, IntegrityError
 from boxops.graphs import from_key, is_morphism
 from boxops.homology import reduced_homology
@@ -20,15 +21,17 @@ from boxops.posets import (
     poset_isomorphic,
     poset_product,
     replay_dismantle,
+    replay_weak_points,
 )
 from boxops.textform import from_box_expr
 
-from conftest import family_members, random_poset, row_subposet
+from conftest import family_members, random_poset, row_subposet, sweep_cores
 from oracles import (
     oracle_candidate_isomorphism,
     oracle_dismantle,
     oracle_member_poset,
     oracle_object_poset,
+    oracle_weak_points,
 )
 
 
@@ -217,14 +220,116 @@ def test_dismantle_verdict_is_replayed(monkeypatch):
 
 
 def test_collapse_verdict_is_replayed(monkeypatch):
-    # the over-poset of m(3,3) at this object has no beat point, and its
-    # order complex collapses
+    # the over-poset of m(3,3) at this object has no beat point; its core
+    # loses weak points down to a point, and with the weak pass finding
+    # nothing the order complex collapses instead
     obj = from_key(3, 3, 37)
     sub = family_members("m", 3, 3)
+    assert check_homotopy_initial([obj], sub)[37].method == "weak"
+    monkeypatch.setattr(Poset, "remove_weak_points", lambda self: (self, []))
     assert check_homotopy_initial([obj], sub)[37].method == "collapse"
     monkeypatch.setattr(contractibility, "replay_trace", _reject)
     with pytest.raises(IntegrityError):
         check_homotopy_initial([obj], sub)
+
+
+def m33_over_poset(key):
+    """The poset of the m(3,3) members below the ke(3,3) object with key."""
+    index = graphs.family_index(family_members("m", 3, 3))
+    return object_poset(index.select(index.below(from_key(3, 3, key))))
+
+
+def test_weak_points_take_a_beat_free_core_to_a_point():
+    poset = m33_over_poset(37)
+    core, steps = poset.dismantle()
+    assert not steps and len(core) == 11
+    left, weak = core.remove_weak_points()
+    # one weak point: 0, whose strict up-set dismantles to 27; the beat
+    # points its removal exposes take the rest to 33
+    assert list(left.elements) == [33]
+    assert [(key, side, len(link), len(beat)) for key, side, link, beat in weak] == [
+        (0, "up", 4, 9)
+    ]
+    replay_weak_points(core, weak)
+    v = certify_contractible(poset)
+    assert (v.status, v.method) == (CONTRACTIBLE, "weak")
+    assert v.detail == {"size": 11, "removals": 0, "core": 11, "weak": 1}
+
+
+def test_weak_verdict_is_replayed(monkeypatch):
+    monkeypatch.setattr(contractibility, "replay_weak_points", _reject)
+    with pytest.raises(IntegrityError):
+        certify_contractible(m33_over_poset(37))
+
+
+@pytest.mark.parametrize("link_steps", [
+    [], [("b1", "b2", "up")], [("b1", "b2", "up"), ("b2", "b1", "up")],
+])
+def test_weak_replay_rejects_a_point_that_is_not_weak(link_steps):
+    # a1's strict up-set {b1, b2} is an antichain, which no steps dismantle
+    with pytest.raises(IntegrityError):
+        replay_weak_points(crown(), [("a1", "up", link_steps, [])])
+
+
+def _mutated(step, **fields):
+    key, side, link, beat = step
+    return (fields.get("key", key), fields.get("side", side),
+            fields.get("link", link), fields.get("beat", beat))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # the link steps leave 3 and 27
+    (lambda s: _mutated(s, link=s[2][:-1]), "does not dismantle to one point"),
+    # 2 is not an up-beat point of the link {2, 3, 5, 18, 27} via 5
+    (lambda s: _mutated(s, link=[(2, 5, "up")] + s[2][1:]), "not an up-beat point"),
+    # 1 is not in the link
+    (lambda s: _mutated(s, link=[(1, 25, "up")] + s[2][1:]), "not alive"),
+    # 0 is minimal: its strict down-set is empty
+    (lambda s: _mutated(s, side="down"), "not alive"),
+    (lambda s: _mutated(s, side="left"), "unknown weak-point side"),
+    # the beat steps stop one short of a point
+    (lambda s: _mutated(s, beat=s[3][:-1]), "leave 2 elements"),
+])
+def test_weak_replay_rejects_a_tampered_certificate(mutate, message):
+    core = m33_over_poset(37)
+    (step,) = core.remove_weak_points()[1]
+    replay_weak_points(core, [step])
+    with pytest.raises(IntegrityError, match=message):
+        replay_weak_points(core, [mutate(step)])
+
+
+@pytest.mark.parametrize("scale, certified", [
+    ((3, 3), 24), ((4, 3), 72), ((3, 4, 40), 17),
+], ids=["ke33", "ke43", "ke34-sample40"])
+def test_weak_certified_cores_collapse(scale, certified):
+    # the order-complex collapse is the definitional route for every core
+    # the weak pass takes to a point; the pass also follows the restarted
+    # scan of oracle_weak_points.  No core at these scales stops short.
+    cores = sweep_cores(*scale)
+    assert len(cores) == certified
+    for core in cores:
+        left, weak = core.remove_weak_points()
+        assert len(left) == 1
+        assert (list(left.elements), weak) == oracle_weak_points(core)
+        replay_weak_points(core, weak)
+        complex_ = core.order_complex()
+        trace = greedy_collapse(complex_)
+        assert trace.collapsed_to_point
+        replay_trace(complex_, trace)
+
+
+def test_weak_points_equal_oracle_on_random_posets():
+    for shuffled in (True, False):
+        rng = random.Random(7)
+        removed = stuck = 0
+        for _ in range(1000):
+            core = random_poset(rng, rng.randint(4, 24), shuffled).dismantle()[0]
+            left, weak = core.remove_weak_points()
+            assert (list(left.elements), weak) == oracle_weak_points(core)
+            removed += bool(weak)
+            stuck += len(left) > 1
+        # some cores lose weak points, and most have none
+        assert removed >= 5 and stuck > 500
 
 
 def test_check_homotopy_initial_small_sweep():
