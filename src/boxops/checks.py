@@ -11,11 +11,9 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from typing import Iterator
+from dataclasses import replace
 
 from . import graphs
-from .complexes import replay_trace
 from .contractibility import CONTRACTIBLE, HOMOLOGY_ONLY
 from .contractibility import check_homotopy_final, check_homotopy_initial
 from .cubes import (
@@ -47,7 +45,7 @@ from .grothendieck import (
     verify_grothendieck_prop,
     verify_two_label_reduction,
 )
-from .partitions import ArcContext, collapse_driver
+from .partitions import ArcContext, matching_check
 from .reports import FAIL, INCONCLUSIVE, PASS, REFUSED, ReportRecord
 from . import cache as cache_mod
 from .textform import to_raw
@@ -67,18 +65,11 @@ def _timed(check: str, params: dict, fn) -> ReportRecord:
 
 
 def trace_to_json(ctx: ArcContext, result) -> str:
-    """The trace as json.dumps(doc, sort_keys=True) of its dict form."""
-    return "".join(_trace_pieces(ctx, result))
-
-
-def _trace_pieces(ctx: ArcContext, result) -> Iterator[str]:
-    """The text of trace_to_json, one piece per step between a head and a
-    tail.
+    """The trace as json.dumps(doc, sort_keys=True) of its dict form.
 
     Each step is rendered straight to text from its masks, with every
     vertex name quoted once per trace, so a trace of millions of steps never
-    holds a dict per step, and a writer that takes the pieces one by one
-    never holds the whole text.
+    holds a dict per step.
     """
     trace = result.trace
     quoted = [json.dumps("".join(map(str, a))) for a in trace.vertices]
@@ -100,7 +91,7 @@ def _trace_pieces(ctx: ArcContext, result) -> Iterator[str]:
     )
     # "steps" is the last key in sorted order: the steps go between its
     # brackets
-    yield head[: -len("]}")]
+    pieces = [head[: -len("]}")]]
     sep = ""
     for i, (face, simplex) in enumerate(trace.steps):
         # one pass over the step's bits gives both name lists and the first
@@ -121,57 +112,30 @@ def _trace_pieces(ctx: ArcContext, result) -> Iterator[str]:
             face_names.sort()
             simplex_names.sort()
         least = extra if simplex.bit_count() - face.bit_count() == 1 else "null"
-        yield (
+        pieces.append(
             f'{sep}{{"least": {least}, "removed_face": [{", ".join(face_names)}], '
             f'"simplex": [{", ".join(simplex_names)}], "step": {i}}}'
         )
         sep = ", "
-    yield "]}\n"
+    pieces.append("]}\n")
+    return "".join(pieces)
 
 
-def _drive_context(payload):
-    """Drive and replay one context; with a trace directory, write its trace
-    there piece by piece and return only the path, so the whole trace text
-    is never held."""
-    k, arcs, paranoid, trace_dir = payload
-    ctx = ArcContext.from_arcs(k, arcs)
-    try:
-        result = collapse_driver(ctx, paranoid=paranoid)
-        replay_trace(ctx.flag_complex(), result.trace)
-    except FalsificationError as exc:
-        return (arcs, {
-            "ok": False,
-            "error": str(exc),
-            "state": exc.state,
-        })
-    res = {
-        "ok": True,
-        "steps": result.steps,
-        "partitions": result.partition_count,
-        "simplex_count": result.simplex_count,
-        "least": result.terminal.word(),
-    }
-    if trace_dir is not None:
-        name = "-".join(f"{a}{b}" for a, b in arcs) or "free"
-        path = trace_dir / f"collapse-k{k}-{name}.json"
-        with open(path, "w") as out:
-            out.writelines(_trace_pieces(ctx, result))
-        res["trace_path"] = str(path)
-    return (arcs, res)
+def _match_context(payload) -> ReportRecord:
+    """The collapse record of one context, without its object."""
+    k, arcs = payload
+    return _timed("collapse", {}, lambda: (PASS, {
+        "context": [list(p) for p in arcs],
+        **matching_check(ArcContext.from_arcs(k, arcs)),
+    }))
 
 
-def run_collapse(
-    n: int = 2,
-    k: int = 3,
-    paranoid: bool = False,
-    jobs: int = 1,
-    trace_dir=None,
-) -> list[ReportRecord]:
-    """Drive the partition-complex collapse for every object at (n, k).
+def run_collapse(n: int = 2, k: int = 3, jobs: int = 1) -> list[ReportRecord]:
+    """Certify the partition-complex collapse for every object at (n, k) by
+    partitions.matching_check.
 
-    Objects sharing a constraint closure share one drive; each object still
-    gets its own record pointing at the shared trace.  Each trace is written
-    to trace_dir as soon as its context is driven.
+    Objects sharing a constraint closure share one check; each object gets
+    its own record, carrying the check's evidence and its time.
     """
     try:
         objs = family_tuple("ke", n, k)
@@ -183,34 +147,13 @@ def run_collapse(
         ctx = ArcContext.from_graph_object(obj)
         by_context.setdefault(ctx.context_key(), []).append(obj)
 
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [(k, arcs, paranoid, trace_dir) for arcs in sorted(by_context)]
-    results = dict(_pmap(_drive_context, payloads, jobs))
-
-    records = []
-    for arcs in sorted(by_context):
-        res = results[arcs]
-        for obj in by_context[arcs]:
-            params = {"n": n, "k": k, "object": to_raw(obj)}
-            if res["ok"]:
-                evidence = {
-                    "context": [list(p) for p in arcs],
-                    "steps": res["steps"],
-                    "partitions": res["partitions"],
-                    "simplex_count": res["simplex_count"],
-                    "least": res["least"],
-                }
-                if "trace_path" in res:
-                    evidence["trace_path"] = res["trace_path"]
-                records.append(ReportRecord("collapse", params, PASS, evidence))
-            else:
-                records.append(
-                    ReportRecord("collapse", params, FAIL,
-                                 {"error": res["error"], "state": res["state"]})
-                )
-    return records
+    contexts = sorted(by_context)
+    checked = _pmap(_match_context, [(k, arcs) for arcs in contexts], jobs)
+    return [
+        replace(rec, params={"n": n, "k": k, "object": to_raw(obj)})
+        for arcs, rec in zip(contexts, checked)
+        for obj in by_context[arcs]
+    ]
 
 
 def _pmap(fn, items, jobs, initializer=None, initargs=()):

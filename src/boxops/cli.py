@@ -70,10 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--seed", type=int, default=None,
                          help="mandatory for any sampled check")
     check_p.add_argument("--jobs", type=int, default=1)
-    check_p.add_argument("--paranoid", action="store_true")
     check_p.add_argument("--out", default=None, help="records file (default stdout)")
-    check_p.add_argument("--cache-dir", default="cache",
-                         help="evidence/trace directory")
 
     report_p = sub.add_parser("report", help="aggregate record files")
     report_p.add_argument("paths", nargs="+")
@@ -93,10 +90,7 @@ def _emit(records, out_path) -> None:
 def _run_check(args) -> list:
     kind = args.kind
     if kind == "collapse":
-        return checks.run_collapse(
-            n=args.n, k=args.k, paranoid=args.paranoid, jobs=args.jobs,
-            trace_dir=Path(args.cache_dir) / "traces",
-        )
+        return checks.run_collapse(n=args.n, k=args.k, jobs=args.jobs)
     if kind == "initiality":
         return checks.run_initiality(
             args.n, args.k, sub=args.sub or "mdown",

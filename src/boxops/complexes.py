@@ -72,24 +72,6 @@ class SimplicialComplex:
         return out
 
 
-def _coface_counts(simplices: frozenset[int]) -> dict[int, int]:
-    """Each simplex mapped to its number of cofacets in the family.
-
-    The keys are the family's own mask objects, so the table adds no
-    integers of its own.
-    """
-    counts = dict.fromkeys(simplices, 0)
-    for mask in simplices:
-        rest = mask
-        while rest:
-            b = rest & -rest
-            face = mask ^ b
-            if face:
-                counts[face] += 1
-            rest ^= b
-    return counts
-
-
 def _remove(counts: dict[int, int], mask: int):
     """Drop a simplex that has no cofacet left, uncounting it at its facets."""
     del counts[mask]

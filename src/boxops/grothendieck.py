@@ -361,23 +361,3 @@ def verify_two_label_reduction(obj: GraphObject) -> dict:
         "over": len(over),
         "isomorphic": True,
     }
-
-
-def structural_certificate(n: int, obj: GraphObject, certify) -> dict:
-    """Certify contractibility structurally: base via the collapse driver,
-    each block fiber via the given certifier, recursing on the label floor.
-
-    `certify` maps a Poset to a Verdict; returns the per-piece statuses.
-    """
-    from .partitions import collapse_driver
-
-    ctx = ArcContext.from_graph_object(obj)
-    driver = collapse_driver(ctx)
-    pieces = {"base_steps": driver.steps, "fibers": []}
-    status = {}  # block: its fiber's verdict status
-    for partition in ctx.partitions():
-        for block in partition.blocks():
-            if block not in status:
-                status[block] = certify(_block_fiber(n, obj, block)[0]).status
-            pieces["fibers"].append((partition.word(), len(block), status[block]))
-    return pieces

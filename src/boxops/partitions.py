@@ -1,5 +1,6 @@
 """Ordered partitions under acyclic arc constraints, their compatibility
-complex, and the deterministic collapse driver with verified traces.
+complex, the acyclic matching that certifies its collapse, and the
+deterministic collapse driver with verified traces.
 
 A context fixes a ground set 0..k-1 and an acyclic set of arcs; the
 admissible ordered partitions are those placing every arc's tail in an
@@ -19,10 +20,10 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .bits import iter_bits
-from .complexes import CollapseTrace, SimplicialComplex, _coface_counts
+from .complexes import CollapseTrace, SimplicialComplex
 from .errors import FalsificationError, IntegrityError
 from .graphs import GraphObject, _add_arc
-from .posets import Poset
+from .posets import Poset, _least, _transpose
 
 
 @dataclass(frozen=True)
@@ -393,16 +394,7 @@ def compatible_predecessor(
 
 
 # ---------------------------------------------------------------------------
-# the collapse driver
-
-
-@dataclass(frozen=True)
-class DriverResult:
-    trace: CollapseTrace
-    terminal: OrderedPartition
-    steps: int
-    partition_count: int
-    simplex_count: int
+# the acyclic matching
 
 
 def _down_rows(words: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
@@ -426,6 +418,108 @@ def _down_rows(words: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
             row &= at_most[x][j]
         rows.append(row)
     return tuple(rows)
+
+
+def matching_check(ctx: ArcContext) -> dict:
+    """Certify that the compatibility complex collapses to its least
+    partition u0, by a closed-form acyclic matching checked on every simplex.
+
+    For a simplex sigma, L(sigma) is the set of partitions u that lie below
+    every vertex of sigma in the pointwise order and make sigma + {u} a
+    simplex, and l(sigma) is the least element of L(sigma).  sigma is paired
+    up with sigma + {l} when l is not in sigma, paired down with sigma - {l}
+    when l is in sigma and sigma != {l}, and critical when sigma == {l}.
+    sigma + {l} carries the same l as sigma, since L(sigma + {l}) lies
+    inside L(sigma) and holds l, so the pairing is an involution once
+    (a) every L(sigma) has a least element, checked per simplex;
+    (b) every down-paired simplex is sigma + {l(sigma)} of an up-paired
+        sigma: sigma -> sigma + {l} maps the up-paired simplices one to one
+        into the down-paired ones, so equal counts make it onto;
+    (c) the critical simplices are exactly [{u0}].
+
+    The matching is acyclic.  On a gradient path sigma -> sigma + {l} ->
+    sigma', with sigma' another facet of sigma + {l} and paired up, l is a
+    vertex of sigma', so l lies in L(sigma') and l(sigma') precedes l; it
+    differs from l, or sigma' would not be paired up.  So l strictly falls
+    along every path, and no path closes.  An acyclic matching whose one
+    critical simplex is the vertex u0 is a collapse to u0 (Forman 1998;
+    Kozlov 2008, Thm 11.13).
+
+    One depth-first walk over the cliques of the compatibility rows, in
+    context order, carries D, the AND of the vertices' down rows, and C,
+    their common neighbours, so L(sigma) = D & (C | sigma).  Word order is
+    a linear extension of the pointwise order, so posets._least decides l
+    with one AND.  A failed condition raises FalsificationError; otherwise
+    the evidence of a collapse record comes back, with the simplex counts
+    by dimension.
+    """
+    parts = ctx.partitions()
+    words = tuple(v.alpha for v in parts)
+    adj = ctx.compatibility_masks()
+    down = _down_rows(words, ctx.k)
+    up = _transpose(down)
+    n = len(parts)
+    counts = [0] * n  # counts[d]: the simplices of dimension d
+    critical: list[int] = []
+    up_paired = 0
+
+    def names(mask: int) -> list[str]:
+        return [parts[i].word() for i in iter_bits(mask)]
+
+    def walk(sigma: int, dim: int, D: int, C: int, min_next: int):
+        nonlocal up_paired
+        bits = C >> min_next << min_next
+        while bits:
+            b = bits & -bits
+            i = b.bit_length() - 1
+            s, d, c = sigma | b, D & down[i], C & adj[i]
+            lower = d & (c | s)
+            least = _least(lower, up, down)
+            if not least:
+                raise FalsificationError(
+                    "L(simplex) has no least element",
+                    {"simplex": names(s), "L": names(lower)},
+                )
+            if not least & s:
+                up_paired += 1
+            elif least == s:
+                critical.append(s)
+            counts[dim] += 1
+            if c >> (i + 1):
+                walk(s, dim + 1, d, c, i + 1)
+            bits ^= b
+
+    walk(0, 0, (1 << n) - 1, (1 << n) - 1, 0)
+    u0 = ctx.least()
+    if critical != [1 << words.index(u0.alpha)]:
+        raise FalsificationError(
+            "critical simplices are not exactly the least partition",
+            {"critical": [names(s) for s in critical], "least": u0.word()},
+        )
+    down_paired = sum(counts) - up_paired - 1
+    if up_paired != down_paired:
+        raise FalsificationError(
+            "up- and down-paired simplices differ in number",
+            {"context": [list(p) for p in ctx.context_key()],
+             "up": up_paired, "down": down_paired},
+        )
+    while counts[-1] == 0:
+        counts.pop()
+    return {"method": "matching", "partitions": n, "simplices": counts,
+            "least": u0.word()}
+
+
+# ---------------------------------------------------------------------------
+# the collapse driver
+
+
+@dataclass(frozen=True)
+class DriverResult:
+    trace: CollapseTrace
+    terminal: OrderedPartition
+    steps: int
+    partition_count: int
+    simplex_count: int
 
 
 class _DriverState:
@@ -511,7 +605,7 @@ class _DriverState:
         )
 
 
-def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
+def collapse_driver(ctx: ArcContext) -> DriverResult:
     """Collapse the compatibility complex down to the least partition.
 
     Each step removes a preorder-maximal maximal simplex together with its
@@ -525,9 +619,6 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
     st = _DriverState(ctx)
     count, heap = st.count, st.heap
     steps: list[tuple[int, int]] = []
-
-    if paranoid:
-        _validate_good_subcomplex(st)
 
     while True:
         if len(heap) == 1 and heap[0][3].bit_count() == 1:
@@ -566,8 +657,6 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
                     count[W] = c
                     if not c:
                         st._add_maximal(W)
-        if paranoid:
-            _validate_good_subcomplex(st)
 
     trace = CollapseTrace(
         vertices=st.words,
@@ -581,70 +670,3 @@ def collapse_driver(ctx: ArcContext, paranoid: bool = False) -> DriverResult:
         partition_count=st.n,
         simplex_count=2 * len(steps) + 1,
     )
-
-
-def _validate_good_subcomplex(st: _DriverState):
-    """Exhaustive good-subcomplex validation (paranoid mode).
-
-    The present complex is the keys of the driver's count table.  Checks
-    downward closure, the driver's coface counts against the present
-    complex, least vertices of maximal simplices, and closure under
-    adjoining minimal compatible elements strictly below a simplex.
-    """
-    present = st.count.keys()
-    for mask in present:
-        for i in iter_bits(mask):
-            sub = mask & ~(1 << i)
-            if sub and sub not in present:
-                raise FalsificationError(
-                    "present simplex with a removed face",
-                    {"simplex": st.word_list(mask)},
-                )
-    cofacets = _coface_counts(present)
-    for mask, c in st.count.items():
-        if cofacets[mask] != c:
-            raise FalsificationError(
-                "coface count disagrees with the present complex",
-                {"simplex": st.word_list(mask), "count": c,
-                 "present_cofacets": cofacets[mask]},
-            )
-    for mask in present:
-        has_coface = any(
-            (mask | (1 << y)) in present
-            for y in range(st.n)
-            if not (mask >> y) & 1
-        )
-        verts = [st.parts[i] for i in iter_bits(mask)]
-        # the definitional route, independent of the driver's order rows
-        if not has_coface and least_element(verts) not in verts:
-            raise FalsificationError(
-                "maximal simplex has no least vertex inside itself",
-                {"simplex": st.word_list(mask)},
-            )
-        candidates = []
-        for ci in range(st.n):
-            c = st.parts[ci]
-            if all(
-                preceq(c, v) and c.alpha != v.alpha and compatible(c, v) for v in verts
-            ):
-                candidates.append(ci)
-        minimal = [
-            ci
-            for ci in candidates
-            if not any(
-                cj != ci
-                and preceq(st.parts[cj], st.parts[ci])
-                and st.parts[cj].alpha != st.parts[ci].alpha
-                for cj in candidates
-            )
-        ]
-        for ci in minimal:
-            grown = mask | (1 << ci)
-            if grown not in present:
-                raise FalsificationError(
-                    "good subcomplex is not closed under a minimal extension",
-                    {
-                        "simplex": st.word_list(mask),
-                        "candidate": st.parts[ci].word(),
-                    },
-                )

@@ -401,6 +401,24 @@ def oracle_clique_counts(adj, n):
     return out
 
 
+def oracle_coface_counts(simplices: frozenset[int]) -> dict[int, int]:
+    """Each simplex mapped to its number of cofacets in the family.
+
+    The keys are the family's own mask objects, so the table adds no
+    integers of its own.
+    """
+    counts = dict.fromkeys(simplices, 0)
+    for mask in simplices:
+        rest = mask
+        while rest:
+            b = rest & -rest
+            face = mask ^ b
+            if face:
+                counts[face] += 1
+            rest ^= b
+    return counts
+
+
 def maximal_cliques(adj, n):
     """The maximal cliques of a graph on 0..n-1 given as adjacency masks:
     Bron-Kerbosch with pivoting, a clique search of its own beside the
@@ -485,6 +503,38 @@ def oracle_collapse_driver(ctx):
                     add_maximal(W)
     assert next(iter(maximal)) == 1 << index[ctx.least()], "terminal vertex differs"
     return tuple(steps)
+
+
+def oracle_gradient_order(simplices, pairs):
+    """A topological order of the gradient graph of a matching, or None
+    when the graph has a cycle.
+
+    The graph has one node per simplex and one arc per face relation of
+    codimension one, pointing down from the simplex to its facet, except
+    that a matched (face, cofacet) pair points up.  The matching is acyclic
+    exactly when this graph is.  Kahn's algorithm over the arcs.
+    """
+    matched = set(pairs)
+    arcs = {s: [] for s in simplices}
+    indegree = dict.fromkeys(simplices, 0)
+    for s in simplices:
+        for v in _bits(s):
+            f = s & ~(1 << v)
+            if not f:
+                continue
+            a, b = (f, s) if (f, s) in matched else (s, f)
+            arcs[a].append(b)
+            indegree[b] += 1
+    ready = [s for s in simplices if not indegree[s]]
+    order = []
+    while ready:
+        s = ready.pop()
+        order.append(s)
+        for t in arcs[s]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    return order if len(order) == len(indegree) else None
 
 
 def oracle_refinement_poset(ctx):

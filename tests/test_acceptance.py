@@ -49,11 +49,15 @@ def test_criterion_1_collapse_certificates():
         assert len(records) == len(family_tuple("ke", 2, k))
         _require_all_pass(records, f"collapse k={k}")
         for rec in records:
-            assert rec.evidence["simplex_count"] == 2 * rec.evidence["steps"] + 1
+            assert rec.evidence["method"] == "matching"
+            # a complex that collapses to a point has Euler characteristic 1
+            simplices = rec.evidence["simplices"]
+            assert sum((-1) ** d * c for d, c in enumerate(simplices)) == 1
         counts[k] = len(records)
     _announce(
         1,
-        "collapse to the least partition, every step replay-verified",
+        "collapse to the least partition, by an acyclic matching checked on "
+        "every simplex",
         f"objects per k: {counts}",
     )
 

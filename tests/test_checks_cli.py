@@ -2,10 +2,9 @@ import json
 
 import pytest
 
-from boxops import checks, cli
+from boxops import checks, cli, partitions
 from boxops.cache import FORMAT_VERSION, CacheVersionError, read_cache, write_cache
 from boxops.graphs import KE, Family
-from boxops.partitions import ArcContext, collapse_driver
 from boxops.reports import (
     FAIL,
     INCONCLUSIVE,
@@ -112,37 +111,30 @@ def test_table_family_caches_equal_filter_route(tmp_path, lo):
 # sweep drivers
 
 
-def test_run_collapse_small(tmp_path):
-    records = checks.run_collapse(n=2, k=3, trace_dir=tmp_path)
+def test_run_collapse_small():
+    records = checks.run_collapse(n=2, k=3)
     assert len(records) == 60
     assert all(r.verdict == PASS for r in records)
-    assert all("least" in r.evidence for r in records)
-    some_trace = next(r.evidence["trace_path"] for r in records)
-    doc = json.loads(open(some_trace).read())
-    assert doc["format"] == "boxops-trace-v1"
-    assert doc["simplex_count"] == 2 * len(doc["steps"]) + 1
+    assert all(r.evidence["method"] == "matching" for r in records)
+    free = next(r for r in records if r.evidence["context"] == [])
+    assert free.evidence == {"method": "matching", "context": [], "partitions": 13,
+                             "simplices": [13, 30, 24, 6], "least": "111"}
+    # each record carries its context's check time
+    assert all(r.wall > 0 for r in records)
 
 
-def test_run_collapse_jobs_do_not_change_output(tmp_path):
+def test_run_collapse_jobs_do_not_change_output():
     serial = checks.run_collapse(n=2, k=3)
     parallel = checks.run_collapse(n=2, k=3, jobs=2)
     assert strip_wall(serial) == strip_wall(parallel)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_collapse_traces_are_streamed(tmp_path, jobs):
-    records = checks.run_collapse(n=2, k=3, jobs=jobs, trace_dir=tmp_path)
-    paths = {r.evidence["trace_path"]: r.evidence["context"] for r in records}
-    assert len(paths) == len(list(tmp_path.iterdir())) == 19
-    for path, context in paths.items():
-        ctx = ArcContext.from_arcs(3, map(tuple, context))
-        want = checks.trace_to_json(ctx, collapse_driver(ctx))
-        assert open(path).read() == want
-    # a driven context hands back the path of its trace, not the text
-    _, res = checks._drive_context((3, (), False, tmp_path))
-    assert res["trace_path"] == str(tmp_path / "collapse-k3-free.json")
-    assert set(res) == {"ok", "steps", "partitions", "simplex_count", "least",
-                        "trace_path"}
+def test_run_collapse_records_a_failed_matching(monkeypatch):
+    monkeypatch.setattr(partitions, "_least", lambda strict, up, down: 0)
+    records = checks.run_collapse(n=2, k=2)
+    assert [r.verdict for r in records] == [FAIL] * 4
+    assert records[0].evidence == {"falsified": "L(simplex) has no least element",
+                                   "simplex": ["11"], "L": ["11"]}
 
 
 def test_run_initiality_small():
@@ -387,11 +379,22 @@ def test_cli_check_collapse(tmp_path):
     code = cli.main(
         [
             "check", "collapse", "--n", "2", "--k", "2",
-            "--out", str(out), "--cache-dir", str(tmp_path),
+            "--out", str(out),
         ]
     )
     assert code == 0
     assert len(read_records(out)) == 4
+
+
+def test_cli_report_counts_the_matching(tmp_path, capsys):
+    out = tmp_path / "collapse.jsonl"
+    code = cli.main(["check", "collapse", "--n", "2", "--k", "3", "--out", str(out)])
+    assert code == 0
+    # the slowest list ranks the records by their contexts' check times
+    assert all(r.wall > 0 for r in read_records(out))
+    code = cli.main(["report", str(out)])
+    assert code == 0
+    assert "  collapse: 60 PASS (matching 60)\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k, least", [(0, ""), (1, "1")])
@@ -400,14 +403,9 @@ def test_collapse_at_k0_and_k1(tmp_path, k, least):
     records = checks.run_collapse(n=2, k=k)
     assert [r.verdict for r in records] == [PASS]
     assert records[0].evidence["least"] == least
-    assert records[0].evidence["steps"] == 0
+    assert records[0].evidence["simplices"] == [1]
     out = tmp_path / "collapse.jsonl"
-    code = cli.main(
-        [
-            "check", "collapse", "--n", "2", "--k", str(k),
-            "--out", str(out), "--cache-dir", str(tmp_path),
-        ]
-    )
+    code = cli.main(["check", "collapse", "--n", "2", "--k", str(k), "--out", str(out)])
     assert code == 0
     assert [r.verdict for r in read_records(out)] == [PASS]
 

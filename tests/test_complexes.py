@@ -6,7 +6,6 @@ from boxops.bits import iter_bits
 from boxops.complexes import (
     CollapseTrace,
     SimplicialComplex,
-    _coface_counts,
     greedy_collapse,
     replay_trace,
 )
@@ -16,7 +15,7 @@ from boxops.homology import reduced_homology, smith_diagonal
 from boxops.partitions import all_contexts
 
 from conftest import family_members, random_poset, sweep_cores
-from oracles import oracle_clique_counts, oracle_greedy_collapse
+from oracles import oracle_clique_counts, oracle_coface_counts, oracle_greedy_collapse
 
 
 def full_simplex(m, dim_cap=None):
@@ -99,7 +98,7 @@ def test_coface_counts_equal_the_counts_over_the_materialized_family():
     refused = 0
     for make in complexes:
         try:
-            want = _coface_counts(make().materialize())
+            want = oracle_coface_counts(make().materialize())
         except CapExceededError:
             refused += 1
             with pytest.raises(CapExceededError):
@@ -295,7 +294,7 @@ def test_collapse_preserves_homology_seeded():
             simplices.append(tuple(rng.sample(range(nverts), size)))
         simplices.extend((v,) for v in range(nverts))
         c = family(*simplices)
-        free = [m for m, count in _coface_counts(c).items() if count == 1]
+        free = [m for m, count in oracle_coface_counts(c).items() if count == 1]
         if not free:
             continue
         face = min(free, key=lambda m: tuple(i for i in range(nverts) if (m >> i) & 1))

@@ -15,7 +15,6 @@ from boxops.grothendieck import (
     family_tuple,
     grothendieck,
     two_label_form,
-    structural_certificate,
     verify_grothendieck_prop,
     verify_two_label_reduction,
 )
@@ -248,12 +247,6 @@ def test_two_label_reduction_exhaustive_k3():
         assert report["isomorphic"]
 
 
-def test_structural_certificate_small():
-    obj = from_box_expr("(1[]2 2)[]3 3", 3)
-    pieces = structural_certificate(3, obj, certify_contractible)
-    assert all(status == "CONTRACTIBLE-certified" for _, _, status in pieces["fibers"])
-
-
 def test_recursive_pipeline_closes_direct_and_structural():
     import random
 
@@ -272,10 +265,6 @@ def test_recursive_pipeline_closes_direct_and_structural():
         members = [a for a in down3[k] if is_morphism(a, obj)]
         direct = certify_contractible(object_poset(members))
         assert direct.contractible()
-        pieces = structural_certificate(3, obj, certify_contractible)
-        assert all(
-            status == "CONTRACTIBLE-certified" for _, _, status in pieces["fibers"]
-        )
 
 
 @pytest.mark.parametrize("n,k,sample", [(2, 3, None), (3, 3, None), (3, 4, 60)])
@@ -497,26 +486,3 @@ def test_spoiled_two_label_candidate_is_refused(monkeypatch):
     monkeypatch.setattr(groth, "_gluing", lambda n, alpha: (gluing(n, alpha)[0], 0))
     with pytest.raises(FalsificationError, match="identity-on-partitions"):
         verify_two_label_reduction(from_box_expr("(1[]2 2)[]3 3", 3))
-
-
-def test_structural_certificate_builds_each_block_once(monkeypatch):
-    from boxops.partitions import ArcContext
-
-    real = groth._block_fiber
-    built = []
-
-    def counted(n, obj, block):
-        built.append(block)
-        return real(n, obj, block)
-
-    monkeypatch.setattr(groth, "_block_fiber", counted)
-    for obj in built_functor_objects():
-        built.clear()
-        pieces = structural_certificate(3, obj, certify_contractible)
-        parts = ArcContext.from_graph_object(obj).partitions()
-        assert sorted(built) == sorted({b for v in parts for b in v.blocks()})
-        assert pieces["fibers"] == [
-            (v.word(), len(b), certify_contractible(real(3, obj, b)[0]).status)
-            for v in parts
-            for b in v.blocks()
-        ]

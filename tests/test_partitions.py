@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from boxops import partitions
+from boxops import partitions, posets
 from boxops.bits import iter_bits
 from boxops.complexes import greedy_collapse, replay_trace
 from boxops.errors import FalsificationError, IntegrityError
@@ -17,6 +17,7 @@ from boxops.partitions import (
     block_infimum,
     le_partition,
     least_element,
+    matching_check,
     preceq,
     preceq_blocks,
     compatible_predecessor,
@@ -31,6 +32,7 @@ from oracles import (
     naive_closure,
     oracle_collapse_driver,
     oracle_compatibility_masks,
+    oracle_gradient_order,
     oracle_partitions,
     oracle_refinement_poset,
 )
@@ -410,12 +412,6 @@ def test_driver_all_k3_contexts_verified_and_replayed():
         replay_trace(ctx.flag_complex(), res.trace)
 
 
-def test_driver_paranoid_mode_k3():
-    for ctx in all_contexts(3)[:8]:
-        res = collapse_driver(ctx, paranoid=True)
-        assert res.terminal == ctx.least()
-
-
 def test_driver_equals_the_removed_set_oracle():
     contexts = [ctx for k in range(5) for ctx in all_contexts(k)]
     # the oracle's cost grows steeply with the partition count, so the 50
@@ -424,31 +420,6 @@ def test_driver_equals_the_removed_set_oracle():
     contexts += seeded_contexts(5, 1, 15, min_partitions=101)
     for ctx in contexts:
         assert collapse_driver(ctx).trace.steps == oracle_collapse_driver(ctx)
-
-
-def _state_and_facet(ctx):
-    """A fresh driver state and a facet of a largest maximal simplex."""
-    st = partitions._DriverState(ctx)
-    top = max(maximal_cliques(st.adj, st.n), key=int.bit_count)
-    return st, top ^ (top & -top)
-
-
-def test_paranoid_mode_sees_a_removed_face_under_a_present_simplex():
-    st, face = _state_and_facet(ctx_free(3))
-    partitions._validate_good_subcomplex(st)
-    del st.count[face]
-    with pytest.raises(FalsificationError, match="present simplex with a removed face"):
-        partitions._validate_good_subcomplex(st)
-
-
-def test_paranoid_mode_checks_every_count():
-    st, face = _state_and_facet(ctx_free(3))
-    st.count[face] = 1
-    partitions._validate_good_subcomplex(st)
-    st.count[face] = 2
-    with pytest.raises(FalsificationError, match="coface count disagrees") as err:
-        partitions._validate_good_subcomplex(st)
-    assert err.value.state["present_cofacets"] == 1
 
 
 def test_driver_refuses_a_face_whose_count_is_not_one(monkeypatch):
@@ -491,22 +462,92 @@ def test_the_other_coface_named_is_never_a_removed_one():
     assert st.not_free(face, ups[1]).state["other_coface"] is None
 
 
-def test_paranoid_mode_keeps_the_definitional_least_vertex(monkeypatch):
-    # paranoid validation reads least_element, never the driver's order rows
-    calls = []
-    real = partitions._DriverState.least_vertex
+# ---------------------------------------------------------------------------
+# the acyclic matching
 
-    def counted(self, mask):
-        calls.append(mask)
-        return real(self, mask)
 
-    monkeypatch.setattr(partitions._DriverState, "least_vertex", counted)
-    ctx = all_contexts(3)[0]
-    collapse_driver(ctx)
-    plain = len(calls)
-    calls.clear()
-    collapse_driver(ctx, paranoid=True)
-    assert len(calls) == plain > 0
+def _matching_stream(ctx, monkeypatch):
+    """matching_check's evidence and its least elements l(sigma), zipped
+    with the flag complex's simplices: the walk visits them in the order
+    the clique enumerator does."""
+    seen = []
+
+    def recorded(strict, up, down):
+        seen.append(posets._least(strict, up, down))
+        return seen[-1]
+
+    monkeypatch.setattr(partitions, "_least", recorded)
+    evidence = matching_check(ctx)
+    monkeypatch.undo()
+    simplices = list(ctx.flag_complex().coface_counts())
+    assert len(seen) == len(simplices)
+    return evidence, list(zip(simplices, seen))
+
+
+def test_matching_pairs_are_the_driver_steps(monkeypatch):
+    for k in range(5):
+        for ctx in all_contexts(k):
+            evidence, stream = _matching_stream(ctx, monkeypatch)
+            pairs = {(s, s | least) for s, least in stream if not s & least}
+            assert pairs == set(collapse_driver(ctx).trace.steps)
+            dims = [0] * len(evidence["simplices"])
+            for s, _ in stream:
+                dims[s.bit_count() - 1] += 1
+            assert evidence["simplices"] == dims
+            assert evidence["partitions"] == len(ctx.partitions())
+            assert evidence["least"] == ctx.least().word()
+
+
+def test_matching_gradient_graph_has_a_topological_order(monkeypatch):
+    for k in range(5):
+        for ctx in all_contexts(k):
+            _, stream = _matching_stream(ctx, monkeypatch)
+            pairs = [(s, s | least) for s, least in stream if not s & least]
+            assert oracle_gradient_order([s for s, _ in stream], pairs) is not None
+    # the oracle sees the cycle of a matching around a triangle's boundary
+    circle = [0b001, 0b010, 0b100, 0b011, 0b110, 0b101]
+    assert oracle_gradient_order(circle, [(0b001, 0b011), (0b010, 0b110),
+                                          (0b100, 0b101)]) is None
+
+
+def test_matching_refuses_a_simplex_without_a_least_element(monkeypatch):
+    real = posets._least
+    monkeypatch.setattr(partitions, "_least",
+                        lambda strict, up, down: 0 if strict & (strict - 1)
+                        else real(strict, up, down))
+    with pytest.raises(FalsificationError, match="no least element") as err:
+        matching_check(ctx_free(2))
+    assert err.value.state == {"simplex": ["12"], "L": ["11", "12"]}
+
+
+def test_matching_refuses_critical_simplices_other_than_the_least(monkeypatch):
+    # the greatest element pairs every vertex with itself
+    monkeypatch.setattr(partitions, "_least", posets._greatest)
+    with pytest.raises(FalsificationError, match="critical simplices") as err:
+        matching_check(ctx_free(2))
+    assert err.value.state == {"critical": [["11"], ["12"], ["21"]], "least": "11"}
+    failed = 0
+    for ctx in all_contexts(4):
+        try:
+            matching_check(ctx)
+        except FalsificationError:
+            failed += 1
+    assert failed == 195
+
+
+def test_matching_refuses_unequal_pair_counts(monkeypatch):
+    # the second simplex of the free k=2 walk, {11, 12}, is paired down;
+    # naming the vertex 21 outside it pairs it up instead
+    real, calls = posets._least, []
+
+    def skewed(strict, up, down):
+        calls.append(strict)
+        return 0b100 if len(calls) == 2 else real(strict, up, down)
+
+    monkeypatch.setattr(partitions, "_least", skewed)
+    with pytest.raises(FalsificationError, match="differ in number") as err:
+        matching_check(ctx_free(2))
+    assert err.value.state == {"context": [], "up": 3, "down": 1}
 
 
 def test_least_vertex_equals_least_element_on_maximal_cliques():
